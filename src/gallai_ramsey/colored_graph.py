@@ -4,7 +4,11 @@ A ``ColoredCompleteGraph`` assigns one color id (1-based, in ``1..k``) to every
 unordered pair of distinct vertices (0-based, in ``0..n-1``).  The color table
 is a flat upper-triangular ``bytearray``; per-color adjacency rows are kept as
 Python integers used as bitsets and are built lazily on first access, then
-maintained incrementally by the edge setter.
+maintained incrementally by the edge setter.  The build gathers 64 full vertex
+rows at a time into a byte block (slices of the table for the upper part,
+strided slice stores for the lower part) and turns each block row into one
+bitset per color with ``bytes.translate`` and a base-2 ``int`` parse, so no
+n x n matrix is ever held.
 
 The composition operators (``join``, ``blowup_pentagon``, ``substitute_part``)
 are the building blocks for every lower-bound coloring this package can
@@ -38,6 +42,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 def lsb_index(mask: int) -> int:
     """Index of the lowest set bit; ``mask`` must be nonzero."""
     return (mask & -mask).bit_length() - 1
+
+
+# _BIT_TABLES[c] maps byte c to b"1" and every other byte to b"0"
+_BIT_TABLES = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(256)]
+_ROW_BLOCK = 64  # vertex rows gathered per byte block while building bitsets
 
 
 @dataclass(frozen=True)
@@ -119,17 +128,27 @@ class ColoredCompleteGraph:
     # -- per-color adjacency bitsets ----------------------------------------
 
     def _build_rows(self) -> dict[int, list[int]]:
-        byte_rows = {c: [bytearray((self.n >> 3) + 1) for _ in range(self.n)] for c in range(1, self.k + 1)}
-        for u in range(self.n - 1):
-            rows_u = self.row_bytes(u)
-            for j, c in enumerate(rows_u):
-                v = u + 1 + j
-                byte_rows[c][u][v >> 3] |= 1 << (v & 7)
-                byte_rows[c][v][u >> 3] |= 1 << (u & 7)
-        return {
-            c: [int.from_bytes(b, "little") for b in per_vertex]
-            for c, per_vertex in byte_rows.items()
-        }
+        n = self.n
+        rows: dict[int, list[int]] = {c: [] for c in range(1, self.k + 1)}
+        sinks = [(rows[c].append, _BIT_TABLES[c]) for c in rows]
+        for w0 in range(0, n, _ROW_BLOCK):
+            w1 = min(w0 + _ROW_BLOCK, n)
+            # block[(w - w0) * n + v] = color of {w, v}; 0 on the diagonal
+            block = bytearray((w1 - w0) * n)
+            for v in range(w1):
+                rb = self.row_bytes(v)
+                if v >= w0:
+                    i = (v - w0) * n
+                    block[i + v + 1 : i + n] = rb
+                lo = max(v + 1, w0)
+                if lo < w1:
+                    block[(lo - w0) * n + v :: n] = rb[lo - v - 1 : w1 - v - 1]
+            for i in range(0, len(block), n):
+                # bit v of a row is its v-th byte, so the last byte is the top digit
+                rev = block[i : i + n][::-1]
+                for append, table in sinks:
+                    append(int(rev.translate(table), 2))
+        return rows
 
     def row(self, v: int, c: int) -> int:
         """Bitset of the c-colored neighbors of v (bit w set iff {v,w} has color c)."""
@@ -332,42 +351,60 @@ def read_graph(path: str) -> ColoredCompleteGraph:
     Format: line 1 is ``n k``; line i+1 (for i = 1..n-1) holds the colors of
     edges {i-1, j} for j = i..n-1, space-separated.  A trailing newline is
     required.  Malformed input raises ``GraphParseError`` naming the line.
+
+    The file is read twice, line by line: a first pass counts the lines, so
+    the whole text is never held at once.
     """
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if not text.endswith("\n"):
-        raise GraphParseError("line 1: missing trailing newline at end of file")
-    lines = text.split("\n")[:-1]
-    if not lines:
-        raise GraphParseError("line 1: empty file")
-    header = lines[0].split(" ")
-    if len(header) != 2:
-        raise GraphParseError(f"line 1: expected 'n k', got {lines[0]!r}")
-    try:
-        n, k = int(header[0]), int(header[1])
-    except ValueError:
-        raise GraphParseError(f"line 1: expected two integers, got {lines[0]!r}") from None
-    if n < 1 or k < 1:
-        raise GraphParseError(f"line 1: n and k must be positive, got {n} {k}")
-    if len(lines) != n:
-        raise GraphParseError(
-            f"line {len(lines) + 1}: expected {n} lines total, got {len(lines)}"
-        )
-    buf = bytearray()
-    for u in range(n - 1):
-        lineno = u + 2
-        fields = lines[u + 1].split(" ")
-        expected = n - u - 1
-        if len(fields) != expected:
+        nlines, last = 0, ""
+        try:
+            for last in fh:
+                nlines += 1
+        except UnicodeDecodeError:
+            # decode the whole file, so the error gives the byte's offset in
+            # the file rather than in one decoded chunk
+            fh.seek(0)
+            fh.read()
+            raise
+        if not last.endswith("\n"):
+            raise GraphParseError("line 1: missing trailing newline at end of file")
+        fh.seek(0)
+        head = fh.readline()[:-1]
+        header = head.split(" ")
+        if len(header) != 2:
+            raise GraphParseError(f"line 1: expected 'n k', got {head!r}")
+        try:
+            n, k = int(header[0]), int(header[1])
+        except ValueError:
+            raise GraphParseError(f"line 1: expected two integers, got {head!r}") from None
+        if n < 1 or k < 1:
+            raise GraphParseError(f"line 1: n and k must be positive, got {n} {k}")
+        if nlines != n:
             raise GraphParseError(
-                f"line {lineno}: expected {expected} colors, got {len(fields)}"
+                f"line {nlines + 1}: expected {n} lines total, got {nlines}"
             )
-        for f in fields:
+        buf = bytearray()
+        for u, line in enumerate(fh):
+            fields = line[:-1].split(" ")
+            expected = n - u - 1
+            if len(fields) != expected:
+                raise GraphParseError(
+                    f"line {u + 2}: expected {expected} colors, got {len(fields)}"
+                )
             try:
-                c = int(f)
+                colors = list(map(int, fields))
             except ValueError:
-                raise GraphParseError(f"line {lineno}: bad color {f!r}") from None
-            if not 1 <= c <= k:
-                raise GraphParseError(f"line {lineno}: color id {c} outside 1..{k}")
-            buf.append(c)
+                colors = None
+            if colors is not None and 1 <= min(colors) and max(colors) <= min(k, 255):
+                buf += bytes(colors)
+                continue
+            # only a faulty row gets here; this loop words its first fault
+            for f in fields:
+                try:
+                    c = int(f)
+                except ValueError:
+                    raise GraphParseError(f"line {u + 2}: bad color {f!r}") from None
+                if not 1 <= c <= k:
+                    raise GraphParseError(f"line {u + 2}: color id {c} outside 1..{k}")
+                buf.append(c)
     return ColoredCompleteGraph(n, k, buf)

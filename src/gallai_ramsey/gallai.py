@@ -9,20 +9,39 @@ it returns that triangle as a structured failure instead.
 The extraction strategy: for each candidate set C of at most two colors, the
 edges colored outside C are forced inside parts, so the connected components
 of those edges form the finest possible partition with between-colors inside
-C.  Part pairs joined by more than one color are then merged to a fixpoint;
-a candidate succeeds when at least two parts survive.  If a valid partition
-with between-colors inside C exists at all, the component partition refines it
-and merging never crosses it, so the fixpoint is nontrivial; candidates cover
-all singletons and pairs of used colors, which suffices for every rainbow-free
-coloring.
+C.  They are found by a bitset BFS over the per-color rows: a vertex's
+outside-C neighbors are the vertices in none of its C rows, and the search
+stops as soon as vertex 0's component is the whole vertex set.  Parts are
+then merged to a fixpoint.  For a part P and a color c in C, the agreement
+mask A_c(P) is the AND of the c-rows of P's members: the vertices that see
+all of P in color c.  A vertex outside P and outside every A_c(P) sees P in
+two colors, so its part and P must merge; a merged part's masks are the ANDs
+of its pieces' masks.  A candidate succeeds when at least two parts survive.
+
+The fixpoint does not depend on the order of merges.  A partition has every
+part pair monochromatic exactly when every part is a module (each outside
+vertex sees the part in one color), and the intersection of two modules is
+a module, so among the coarsenings of the component partition with every
+pair monochromatic there is a unique finest one.  Every merge joins two parts
+that share a part in each such coarsening: if x in part Q sees part P in two
+colors, the module containing P must contain x, hence Q.  So merging never
+passes that finest coarsening and stops exactly at it.  If a valid partition
+with between-colors inside C exists at all, it is such a coarsening, so the
+fixpoint is nontrivial; candidates cover all singletons and pairs of used
+colors, which suffices for every rainbow-free coloring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError
+from gallai_ramsey.colored_graph import (
+    ColoredCompleteGraph,
+    ParameterError,
+    iter_bits,
+    lsb_index,
+)
 from gallai_ramsey.patterns import RainbowTriangle, find_rainbow_triangle
 
 
@@ -63,113 +82,126 @@ def _candidate_color_sets(g: ColoredCompleteGraph) -> list[frozenset[int]]:
     return singles + pairs
 
 
-def _components_outside(g: ColoredCompleteGraph, cand: frozenset[int]) -> Optional[list[int]]:
-    """Component ids after contracting every edge colored outside `cand`.
+def _components(inside: list[list[int]], n: int) -> Optional[list[int]]:
+    """Components of the edges colored outside the candidate, as bitsets.
 
-    Returns None as soon as everything collapses into a single component.
+    ``inside`` holds the rows of the candidate colors: a vertex's neighbors
+    outside the candidate are the vertices in none of its candidate rows.
+    Returns None as soon as vertex 0's component covers every vertex.
     """
-    n = g.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    ncomp = n
-    keep = bytes(1 if 1 <= c <= g.k and c in cand else 0 for c in range(256))
-    for u in range(n - 1):
-        rb = g.row_bytes(u)
-        for dv, c in enumerate(rb):
-            if not keep[c]:
-                ru, rv = find(u), find(u + 1 + dv)
-                if ru != rv:
-                    parent[ru] = rv
-                    ncomp -= 1
-                    if ncomp == 1:
-                        return None
-    roots = {}
-    pid = []
-    for v in range(n):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        pid.append(roots[r])
-    return pid
+    full = (1 << n) - 1
+    comps: list[int] = []
+    left = full
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for u in iter_bits(frontier):
+                seen = 1 << u
+                for rows in inside:
+                    seen |= rows[u]
+                reach |= full ^ seen
+                if reach | comp == full:
+                    return None
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left ^= comp
+    return comps
 
 
-def _merge_to_fixpoint(
-    g: ColoredCompleteGraph, pid: list[int]
-) -> tuple[Optional[list[int]], dict[tuple[int, int], int]]:
-    """Merge part pairs seeing more than one color until every pair is clean.
+def _agreement(rows: list[int], part: int, full: int) -> int:
+    """Vertices joined to every member of ``part`` in the color of ``rows``."""
+    common = full
+    for u in iter_bits(part):
+        common &= rows[u]
+    return common
 
-    Returns (part ids, pair color map), or (None, {}) if merging collapses the
-    partition to a single part.
+
+def _coarsen(parts: list[int], inside: list[list[int]], n: int) -> Optional[list[int]]:
+    """Merge parts until every part pair is monochromatic; None if one part is left.
+
+    Every edge between two parts has a candidate color, so a vertex outside a
+    part that lies in none of the part's agreement masks (one per candidate
+    color) sees the part in two colors, and the part holding that vertex must
+    merge with it.  If instead every vertex of Q sees P in one color but not
+    all in the same one, each vertex of P sees Q in two colors, so scanning
+    every part finds every pair that is not monochromatic.
     """
-    n = g.n
-    while True:
-        pair_color: dict[tuple[int, int], int] = {}
-        conflicts: set[tuple[int, int]] = set()
-        for u in range(n - 1):
-            pu = pid[u]
-            rb = g.row_bytes(u)
-            for dv, c in enumerate(rb):
-                pv = pid[u + 1 + dv]
-                if pu == pv:
-                    continue
-                key = (pu, pv) if pu < pv else (pv, pu)
-                prev = pair_color.get(key)
-                if prev is None:
-                    pair_color[key] = c
-                elif prev != c:
-                    conflicts.add(key)
-        if not conflicts:
-            return pid, pair_color
-        m = max(pid) + 1
-        parent = list(range(m))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in conflicts:
-            ra, rb_ = find(a), find(b)
-            if ra != rb_:
-                parent[ra] = rb_
-        relabel: dict[int, int] = {}
-        new_pid = []
-        for v in range(n):
-            r = find(pid[v])
-            if r not in relabel:
-                relabel[r] = len(relabel)
-            new_pid.append(relabel[r])
-        if len(relabel) == 1:
-            return None, {}
-        pid = new_pid
+    full = (1 << n) - 1
+    agree = [[_agreement(rows, part, full) for rows in inside] for part in parts]
+    owner = [0] * n
+    for i, part in enumerate(parts):
+        for u in iter_bits(part):
+            owner[u] = i
+    left = len(parts)
+    todo = list(range(len(parts)))
+    while todo:
+        i = todo.pop()
+        if not parts[i]:
+            continue  # absorbed since it was queued
+        seen = parts[i]
+        for mask in agree[i]:
+            seen |= mask
+        bad = full ^ seen
+        if not bad:
+            continue  # clean, and stays clean unless it merges
+        while bad:
+            j = owner[lsb_index(bad)]
+            bad &= ~parts[j]
+            if parts[j].bit_count() > parts[i].bit_count():
+                i, j = j, i  # relabel the smaller part
+            for u in iter_bits(parts[j]):
+                owner[u] = i
+            parts[i] |= parts[j]
+            agree[i] = [a & b for a, b in zip(agree[i], agree[j])]
+            parts[j] = 0
+            left -= 1
+        if left == 1:
+            return None
+        todo.append(i)
+    return [part for part in parts if part]
 
 
-def _build_partition(
-    pid: list[int], pair_color: dict[tuple[int, int], int]
-) -> GallaiPartition:
-    m = max(pid) + 1
-    groups: list[list[int]] = [[] for _ in range(m)]
-    for v, p in enumerate(pid):
-        groups[p].append(v)
-    order = sorted(range(m), key=lambda p: groups[p][0])
-    rank = {p: i for i, p in enumerate(order)}
-    parts = tuple(tuple(groups[p]) for p in order)
-    remapped: dict[tuple[int, int], int] = {}
-    for (a, b), c in pair_color.items():
-        i, j = rank[a], rank[b]
-        remapped[(i, j) if i < j else (j, i)] = c
+def _build_partition(g: ColoredCompleteGraph, parts: list[int]) -> GallaiPartition:
+    """Parts sorted by smallest vertex, with the color of each part pair."""
+    parts = sorted(parts, key=lsb_index)
+    reps = [lsb_index(part) for part in parts]
+    pair_color: dict[tuple[int, int], int] = {}
+    for i, a in enumerate(reps):
+        # reps ascend, so every pair (i, j) reads the table row of reps[i]
+        row = g.row_bytes(a)
+        for j in range(i + 1, len(reps)):
+            pair_color[(i, j)] = row[reps[j] - a - 1]
     return GallaiPartition(
-        parts=parts,
-        between_colors=frozenset(remapped.values()),
-        part_pair_color=remapped,
+        parts=tuple(tuple(iter_bits(part)) for part in parts),
+        between_colors=frozenset(pair_color.values()),
+        part_pair_color=pair_color,
     )
+
+
+def _partitions(g: ColoredCompleteGraph) -> Iterator[GallaiPartition]:
+    """The partition of every candidate that yields one, in candidate order.
+
+    Candidates are tried deterministically: singleton color sets in ascending
+    order, then pairs in lexicographic order.
+    """
+    if g.n < 2:
+        raise ParameterError(f"partition needs n >= 2, got n={g.n}")
+    for cand in _candidate_color_sets(g):
+        inside = [g.rows(c) for c in cand]
+        parts = _components(inside, g.n)
+        if parts is not None:
+            parts = _coarsen(parts, inside, g.n)
+        if parts is not None:
+            yield _build_partition(g, parts)
+
+
+def _obstruction(g: ColoredCompleteGraph) -> RainbowTriangle:
+    tri = find_rainbow_triangle(g)
+    if tri is None:
+        raise AssertionError("no partition and no rainbow triangle; unreachable")
+    return tri
 
 
 def find_gallai_partition(
@@ -177,24 +209,11 @@ def find_gallai_partition(
 ) -> Union[GallaiPartition, RainbowTriangle]:
     """A nontrivial Gallai partition, or the rainbow triangle obstructing one.
 
-    Candidates are tried deterministically: singleton color sets in ascending
-    order, then pairs in lexicographic order; the first candidate whose merge
-    fixpoint keeps at least two parts wins.
+    The first candidate color set, in the order of ``_partitions``, whose
+    merge fixpoint keeps at least two parts wins.
     """
-    if g.n < 2:
-        raise ParameterError(f"partition needs n >= 2, got n={g.n}")
-    for cand in _candidate_color_sets(g):
-        pid = _components_outside(g, cand)
-        if pid is None:
-            continue
-        pid, pair_color = _merge_to_fixpoint(g, pid)
-        if pid is None:
-            continue
-        return _build_partition(pid, pair_color)
-    tri = find_rainbow_triangle(g)
-    if tri is None:
-        raise AssertionError("no partition and no rainbow triangle; unreachable")
-    return tri
+    p = next(_partitions(g), None)
+    return _obstruction(g) if p is None else p
 
 
 def coarsest_partition_over_pairs(
@@ -203,29 +222,20 @@ def coarsest_partition_over_pairs(
     """Valid result with the fewest parts among all candidate color sets.
 
     This is a heuristic minimizer: it examines the same candidates as
-    ``find_gallai_partition`` and keeps the best fixpoint.  When the winner
-    uses a single between color and still has more than two parts, any
-    bipartition of its parts is also valid, so the result is coarsened to two
-    parts (first part versus the rest) to make "fewest" sharp in that case.
+    ``find_gallai_partition`` and keeps the first fixpoint with the fewest
+    parts.  When the winner uses a single between color and still has more
+    than two parts, any bipartition of its parts is also valid, so the result
+    is coarsened to two parts (first part versus the rest) to make "fewest"
+    sharp in that case.
     """
-    if g.n < 2:
-        raise ParameterError(f"partition needs n >= 2, got n={g.n}")
     best: Optional[GallaiPartition] = None
-    for cand in _candidate_color_sets(g):
-        pid = _components_outside(g, cand)
-        if pid is None:
-            continue
-        pid, pair_color = _merge_to_fixpoint(g, pid)
-        if pid is None:
-            continue
-        result = _build_partition(pid, pair_color)
-        if best is None or len(result.parts) < len(best.parts):
-            best = result
+    for p in _partitions(g):
+        if best is None or len(p.parts) < len(best.parts):
+            best = p
+        if len(best.parts) == 2:
+            break  # no later candidate can have fewer parts
     if best is None:
-        tri = find_rainbow_triangle(g)
-        if tri is None:
-            raise AssertionError("no partition and no rainbow triangle; unreachable")
-        return tri
+        return _obstruction(g)
     if len(best.between_colors) == 1 and len(best.parts) > 2:
         c = next(iter(best.between_colors))
         head = best.parts[0]

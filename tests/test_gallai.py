@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
@@ -22,9 +22,10 @@ from gallai_ramsey.gallai import (
     verify_gallai_partition,
 )
 from gallai_ramsey.patterns import RainbowTriangle, find_rainbow_triangle
+from gallai_ramsey.constructions import build_G62, build_G82
 from gallai_ramsey.search import random_gallai_sampler
 
-from helpers import random_graph
+from helpers import gallai_partition_reference, random_graph
 
 # 2-coloring of K_5 by the five-cycle: edges (i, i+1 mod 5) get color 1,
 # diagonals color 2.  Both color classes are connected.
@@ -295,3 +296,45 @@ def test_partition_or_rainbow_dichotomy(seed):
     if find_rainbow_triangle(g) is None:
         # completeness: rainbow-free colorings always partition
         assert isinstance(res, GallaiPartition)
+
+
+def _reference_inputs(kind, seed):
+    rng = random.Random(seed)
+    if kind == "towers":
+        return [build(k, verify=False).graph for build in (build_G62, build_G82) for k in range(2, 6)]
+    if kind == "random":
+        return [random_graph(rng, rng.randint(2, 14), rng.randint(1, 4))]
+    if kind == "planted":
+        return [_planted_graph(rng, rng.randint(3, 5))[0]]
+    k, n = rng.randint(1, 6), rng.randint(2, 200)
+    g = random_gallai_sampler(k, n, seed)
+    if kind == "recolored":
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(range(n), 2)
+            g.set_color(u, v, rng.randint(1, k))
+    return [g]
+
+
+@pytest.mark.property_based
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(("sampler", "recolored", "planted", "random")),
+    seed=st.integers(min_value=0, max_value=10**9),
+)
+@example(kind="towers", seed=0)
+def test_partition_matches_reference(kind, seed):
+    # the bitset engine and the union-find reference must agree exactly:
+    # same candidate, same parts, same pair colors, same triangle
+    for g in _reference_inputs(kind, seed):
+        for fn, coarsest in (
+            (find_gallai_partition, False),
+            (coarsest_partition_over_pairs, True),
+        ):
+            got, want = fn(g), gallai_partition_reference(g, coarsest=coarsest)
+            assert type(got) is type(want)
+            if isinstance(want, RainbowTriangle):
+                assert got == want
+            else:
+                assert got.parts == want.parts
+                assert got.between_colors == want.between_colors
+                assert got.part_pair_color == want.part_pair_color
