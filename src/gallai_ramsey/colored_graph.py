@@ -399,7 +399,8 @@ def read_graph(path: str) -> ColoredCompleteGraph:
             if colors is not None and 1 <= min(colors) and max(colors) <= min(k, 255):
                 buf += bytes(colors)
                 continue
-            # only a faulty row gets here; this loop words its first fault
+            # a faulty row, or a color above 255 that a byte cannot hold, gets
+            # here; this per-field loop raises its first fault
             for f in fields:
                 try:
                     c = int(f)

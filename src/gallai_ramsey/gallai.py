@@ -22,10 +22,11 @@ The fixpoint does not depend on the order of merges.  A partition has every
 part pair monochromatic exactly when every part is a module (each outside
 vertex sees the part in one color), and the intersection of two modules is
 a module, so among the coarsenings of the component partition with every
-pair monochromatic there is a unique finest one.  Every merge joins two parts
-that share a part in each such coarsening: if x in part Q sees part P in two
-colors, the module containing P must contain x, hence Q.  So merging never
-passes that finest coarsening and stops exactly at it.  If a valid partition
+pair monochromatic there is a unique finest one.  By induction, every merge
+joins two parts that lie in one part of each such coarsening: if x in part Q
+sees part P in two colors, the coarsening's part holding P must hold x, so
+it holds all of Q.  So merging never passes that finest coarsening, and it
+stops exactly at it.  If a valid partition
 with between-colors inside C exists at all, it is such a coarsening, so the
 fixpoint is nontrivial; candidates cover all singletons and pairs of used
 colors, which suffices for every rainbow-free coloring.
