@@ -48,6 +48,7 @@ def lsb_index(mask: int) -> int:
 # every other byte to b"0"; one constant instead of 256 tables saves 75 KB a copy
 _BITS = b"0" * 255 + b"1" + b"0" * 255
 _ROW_BLOCK = 64  # vertex rows gathered per byte block while building bitsets
+_ASCII = bytes(range(128))
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ class ColoredCompleteGraph:
 
     def used_colors(self) -> list[int]:
         """Sorted list of color ids appearing on at least one edge."""
-        return sorted(set(self._colors))
+        return [c for c in range(1, self.k + 1) if c in self._colors]
 
     # -- misc ----------------------------------------------------------------
 
@@ -362,11 +363,13 @@ def read_graph(path: str) -> ColoredCompleteGraph:
             for last in fh:
                 nlines += 1
         except UnicodeDecodeError:
-            # decode the whole file, so the error gives the byte's offset in
-            # the file rather than in one decoded chunk
+            # name the first non-ASCII byte by its offset in the whole file,
+            # not in the decoded chunk that failed
             fh.seek(0)
-            fh.read()
-            raise
+            data = fh.buffer.read()
+            at = len(data) - len(data.lstrip(_ASCII))
+            line = data.count(b"\n", 0, at) + 1
+            raise GraphParseError(f"line {line}: non-ASCII byte at file offset {at}") from None
         if not last.endswith("\n"):
             raise GraphParseError("line 1: missing trailing newline at end of file")
         fh.seek(0)
@@ -380,6 +383,8 @@ def read_graph(path: str) -> ColoredCompleteGraph:
             raise GraphParseError(f"line 1: expected two integers, got {head!r}") from None
         if n < 1 or k < 1:
             raise GraphParseError(f"line 1: n and k must be positive, got {n} {k}")
+        if k > 255:
+            raise GraphParseError(f"line 1: color count above 255 is not supported, got {k}")
         if nlines != n:
             raise GraphParseError(
                 f"line {nlines + 1}: expected {n} lines total, got {nlines}"
@@ -396,11 +401,10 @@ def read_graph(path: str) -> ColoredCompleteGraph:
                 colors = list(map(int, fields))
             except ValueError:
                 colors = None
-            if colors is not None and 1 <= min(colors) and max(colors) <= min(k, 255):
+            if colors is not None and 1 <= min(colors) and max(colors) <= k:
                 buf += bytes(colors)
                 continue
-            # a faulty row, or a color above 255 that a byte cannot hold, gets
-            # here; this per-field loop raises its first fault
+            # only a faulty row gets here; this per-field loop raises its first fault
             for f in fields:
                 try:
                     c = int(f)

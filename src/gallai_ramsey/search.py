@@ -7,7 +7,19 @@ time; each new vertex's edge-color vector is enumerated in lexicographic
 order (color 1 before color 2), and a branch dies as soon as either color
 class contains the pattern on the already-colored prefix.  Containment checks
 are incremental: adding a vertex only changes the neighborhoods of that
-vertex and of its new neighbors, so only those centers are re-tested.
+vertex and of its new neighbors, so only those centers are re-tested, the new
+vertex first.  The colors live in two lists of bitset rows indexed by vertex
+id; stepping to the next color vector flips one contiguous block of the new
+vertex's edges.
+
+A center holds S_t^r when its color class gives it at least t-1 neighbors
+spanning r disjoint edges.  ``_nu_at_least`` tests the matching on the rows
+as they are, with no relabeling: need=2 has a linear test, other thresholds
+an exact branching test capped at |M|^2 steps (a bound set by the input
+alone) with the blossom algorithm past the cap.  Either way the answer is
+exact, so the pruning, the node counts and the witnesses do not depend on
+which route answered, and the cap keeps the branching's exponential worst
+case from stalling the search between two deadline checks.
 
 Symmetry breaking is deliberately lightweight and loses no outcomes: swapping
 the two colors and permuting vertices preserve pattern-freeness, so edge
@@ -22,20 +34,17 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from gallai_ramsey.colored_graph import (
-    ColoredCompleteGraph,
-    ParameterError,
-    lsb_index,
-)
+from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError
 from gallai_ramsey.patterns import (
     RainbowTriangle,
     SPattern,
     SWitness,
+    _blossom_mates,
     find_mono_S,
     find_rainbow_triangle,
-    matching_edges_at_least,
 )
 
 WITNESS_FOUND = "witness_found"
@@ -63,46 +72,83 @@ class SearchOutcome:
     elapsed: float
 
 
+class _StepCap(Exception):
+    """The matching recursion used up its step allowance."""
+
+
+def _two_disjoint_edges(rows: list[int], members: int) -> bool:
+    """Does the subgraph induced on the `members` bitset have 2 disjoint edges?
+
+    A greedy maximal matching either finds two edges, or stalls at one edge
+    ab; then every edge meets a or b, and two disjoint ones exist iff a and b
+    have distinct further neighbors.
+    """
+    a = b = 0
+    avail = members
+    while avail:
+        low = avail & -avail
+        avail ^= low
+        cand = rows[low.bit_length() - 1] & avail
+        if cand:
+            if a:
+                return True
+            a = low
+            b = cand & -cand
+            avail ^= b
+    if not a:
+        return False
+    na = rows[a.bit_length() - 1] & members ^ b
+    nb = rows[b.bit_length() - 1] & members ^ a
+    union = na | nb
+    return bool(na) and bool(nb) and union & (union - 1) != 0
+
+
 def _nu_at_least(rows: list[int], members: int, need: int) -> bool:
     """Does the subgraph induced on the `members` bitset have `need` disjoint edges?
 
-    Specialized for the tiny thresholds the search needs; falls back to the
-    general kernel routine for larger ones.
+    ``rows[u]`` is u's adjacency bitset, indexed by vertex id.  need=2 has its
+    own linear test.  Otherwise, with v the lowest member, nu(M) >= k iff
+    nu(M - v) >= k or nu(M - v - w) >= k - 1 for some neighbor w of v in M,
+    and a branch dies once |M| < 2k.  That recursion is exponential in the
+    worst case (K_{k-1, m}), so after |M|^2 steps the blossom algorithm
+    answers instead.
     """
     if need <= 0:
         return True
-    if need == 1:
-        mm = members
-        while mm:
-            v = lsb_index(mm)
-            mm &= mm - 1
-            if rows[v] & mm:
-                return True
+    size = members.bit_count()
+    if size < 2 * need:
         return False
     if need == 2:
-        # greedy maximal matching; one stalled edge leaves only the swap case
-        first = None
-        avail = members
-        while avail:
-            v = lsb_index(avail)
-            avail &= avail - 1
-            cand = rows[v] & avail
-            if cand:
-                w = lsb_index(cand)
-                if first is not None:
+        return _two_disjoint_edges(rows, members)
+    steps = size * size
+
+    def has(m: int, k: int) -> bool:
+        nonlocal steps
+        while True:
+            steps -= 1
+            if steps < 0:
+                raise _StepCap
+            low = m & -m
+            m ^= low
+            nb = rows[low.bit_length() - 1] & m
+            if nb:
+                if k == 1:
                     return True
-                first = (v, w)
-                avail &= ~(1 << w)
-        if first is None:
-            return False
-        a, b = first
-        na = rows[a] & members & ~(1 << b)
-        nb = rows[b] & members & ~(1 << a)
-        if not na or not nb:
-            return False
-        union = na | nb
-        return union & (union - 1) != 0
-    return matching_edges_at_least(rows.__getitem__, members, need) is not None
+                while nb:
+                    w = nb & -nb
+                    nb ^= w
+                    if has(m ^ w, k - 1):
+                        return True
+            if m.bit_count() < 2 * k:
+                return False
+
+    try:
+        return has(members, need)
+    except _StepCap:
+        mates = _blossom_mates(
+            [rows[u] & members if members >> u & 1 else 0 for u in range(members.bit_length())]
+        )
+        return sum(1 for u, w in enumerate(mates) if w > u) >= need
 
 
 def exhaustive_witness_search(
@@ -128,106 +174,108 @@ def exhaustive_witness_search(
         raise ParameterError(f"search supports n <= 60, got n={n}")
     if budget is None:
         budget = SearchBudget()
-    t, r = p.t, p.r
+    min_deg, r = p.t - 1, p.r
+    # every center tested has min_deg >= 2r neighbors, so need=2 needs no size check
+    holds = _two_disjoint_edges if r == 2 else partial(_nu_at_least, need=r)
+    max_nodes = budget.max_nodes
     start = time.perf_counter()
     deadline = start + budget.max_time
-    rows = ([0] * n, [0] * n)
-    state = {"nodes": 0, "status": EXHAUSTED_NONE, "witness": None}
+    red, blue = [0] * n, [0] * n
+    nodes = 0
+    status = EXHAUSTED_NONE
+    witness: Optional[ColoredCompleteGraph] = None
 
-    def prefix_contains(v: int) -> bool:
-        # after adding vertex v only v and its new neighbors gained neighbors
-        for rc in rows:
-            mv = rc[v]
-            if mv.bit_count() >= t - 1 and _nu_at_least(rc, mv, r):
+    def center_in(rc: list[int], centers: int) -> bool:
+        """Is some vertex of the `centers` bitset a center of the pattern in rc?"""
+        while centers:
+            low = centers & -centers
+            centers ^= low
+            mu = rc[low.bit_length() - 1]
+            if mu.bit_count() >= min_deg and holds(rc, mu):
                 return True
-            mm = mv
-            while mm:
-                u = lsb_index(mm)
-                mm &= mm - 1
-                mu = rc[u]
-                if mu.bit_count() >= t - 1 and _nu_at_least(rc, mu, r):
-                    return True
-        return False
-
-    def whole_graph_contains(count: int) -> bool:
-        for rc in rows:
-            for u in range(count):
-                mu = rc[u]
-                if mu.bit_count() >= t - 1 and _nu_at_least(rc, mu, r):
-                    return True
         return False
 
     def snapshot() -> ColoredCompleteGraph:
         buf = bytearray()
         for u in range(n):
             for v in range(u + 1, n):
-                buf.append(2 if (rows[1][u] >> v) & 1 else 1)
+                buf.append(2 if (blue[u] >> v) & 1 else 1)
         return ColoredCompleteGraph(n, 2, buf)
 
     def dfs(v: int) -> bool:
         """Extend vertex v; True aborts the whole search (witness or budget)."""
+        nonlocal nodes, status, witness
         if v == n:
-            if not prune and whole_graph_contains(n):
+            everyone = (1 << n) - 1
+            if not prune and (center_in(red, everyone) or center_in(blue, everyone)):
                 return False
             g = snapshot()
             if collect is not None:
                 collect.append(g)
                 return False
-            state["status"] = WITNESS_FOUND
-            state["witness"] = g
+            status = WITNESS_FOUND
+            witness = g
             return True
         hi = 1 << v
         e = 0
         if break_symmetry:
             if v == 1:
                 hi = 1  # color swap: edge {0,1} is color 1
-            elif v >= 2 and (rows[1][0] >> (v - 1)) & 1:
+            elif v >= 2 and (blue[0] >> (v - 1)) & 1:
                 # vertex 0's colors are monotone: once color 2 appears, it stays
                 e = 1 << (v - 1)
         # assign vector e: bit j of e gives edge {v-1-j, v}, set = color 2
         bit_v = 1 << v
         for i in range(v):
-            ci = (e >> (v - 1 - i)) & 1
-            rows[ci][i] |= bit_v
-            rows[ci][v] |= 1 << i
+            rc = blue if (e >> (v - 1 - i)) & 1 else red
+            rc[i] |= bit_v
+            rc[v] |= 1 << i
         try:
             while True:
-                state["nodes"] += 1
-                if state["nodes"] >= budget.max_nodes or (
-                    state["nodes"] & 1023 == 0 and time.perf_counter() > deadline
+                nodes += 1
+                if nodes >= max_nodes or (
+                    nodes & 1023 == 0 and time.perf_counter() > deadline
                 ):
-                    state["status"] = BUDGET_EXCEEDED
+                    status = BUDGET_EXCEEDED
                     return True
-                if not prune or not prefix_contains(v):
+                # after adding vertex v only v and its neighbors gained
+                # neighbors; v itself is tested first, in both colors, as
+                # that is where a new pattern shows most often
+                if not prune or not (
+                    center_in(red, bit_v)
+                    or center_in(blue, bit_v)
+                    or center_in(red, red[v])
+                    or center_in(blue, blue[v])
+                ):
                     if dfs(v + 1):
                         return True
                 nxt = e + 1
                 if nxt >= hi:
                     return False
+                # e -> e + 1 flips bits 0..L-1, the edges {i, v} for i in
+                # v-L..v-1: one contiguous block of v's rows
                 diff = e ^ nxt
-                while diff:
-                    j = lsb_index(diff)
-                    diff &= diff - 1
-                    i = v - 1 - j
-                    # toggle edge {i, v} in both color rows
-                    rows[0][i] ^= bit_v
-                    rows[1][i] ^= bit_v
-                    rows[0][v] ^= 1 << i
-                    rows[1][v] ^= 1 << i
+                low = v - diff.bit_length()
+                flip = diff << low
+                red[v] ^= flip
+                blue[v] ^= flip
+                for i in range(low, v):
+                    red[i] ^= bit_v
+                    blue[i] ^= bit_v
                 e = nxt
         finally:
             mask_v = ~bit_v
             for i in range(v):
-                rows[0][i] &= mask_v
-                rows[1][i] &= mask_v
-            rows[0][v] = 0
-            rows[1][v] = 0
+                red[i] &= mask_v
+                blue[i] &= mask_v
+            red[v] = 0
+            blue[v] = 0
 
     dfs(1)
     return SearchOutcome(
-        status=state["status"],
-        witness=state["witness"],
-        nodes_explored=state["nodes"],
+        status=status,
+        witness=witness,
+        nodes_explored=nodes,
         elapsed=time.perf_counter() - start,
     )
 

@@ -106,6 +106,19 @@ def test_partition_rainbow_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content, fragment",
+    [(b"3 2\n1 \xff\n1\n", "line 2: non-ASCII byte"),
+     (b"2 300\n300\n", "line 1: color count above 255")],
+)
+def test_partition_malformed_file_exits_2(tmp_path, capsys, content, fragment):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    assert run(["partition", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_search_witness_and_exhausted(tmp_path, capsys):
     wpath = str(tmp_path / "w.txt")
     assert run(["search", "--n", "5", "--t", "3", "--r", "1", "--out", wpath]) == 0

@@ -1,5 +1,6 @@
 """Representation, composition operators, and file round-trip for colored graphs."""
 
+import itertools
 import random
 
 import pytest
@@ -242,12 +243,15 @@ def test_round_trip_500_random_graphs(tmp_path):
         ("x y\n", "line 1"),
         ("", "line 1"),
         ("3 2\n1 3\n1\n", "line 2"),
+        (b"3 2\n1 \xff\n1\n", "line 2: non-ASCII byte at file offset 6"),
+        (b"2 300\n300\n", "line 1: color count above 255"),
+        ("2 256\n1\n", "line 1: color count above 255"),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, content, fragment):
     path = str(tmp_path / "bad.txt")
-    with open(path, "w") as fh:
-        fh.write(content)
+    with open(path, "wb") as fh:
+        fh.write(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(GraphParseError) as err:
         read_graph(path)
     assert fragment in str(err.value)
@@ -305,3 +309,16 @@ def test_bitset_rows_match_colors_after_mutation(seed, n):
         v = (u + rng.randrange(1, n)) % n
         g.set_color(u, v, rng.randint(1, k))
     _assert_rows_match_colors(g)
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 30), k=st.integers(1, 255))
+@settings(max_examples=60, derandomize=True)
+def test_used_colors_after_mutation(seed, n, k):
+    rng = random.Random(seed)
+    g = ColoredCompleteGraph(n, k)
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(rng.randint(1, 3 * n) if pairs else 0):
+        g.set_color(*rng.choice(pairs), rng.randint(1, k))
+        assert g.used_colors() == sorted({g.color(u, v) for u, v in pairs})
+    assert g.used_colors() == sorted({g.color(u, v) for u, v in pairs})

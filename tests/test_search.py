@@ -4,18 +4,22 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError
+import gallai_ramsey.search
+from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError, write_graph
 from gallai_ramsey.constructions import build_G62, two_clique_witness
 from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition
 from gallai_ramsey.patterns import (
     SPattern,
     brute_force_contains_S,
     find_rainbow_triangle,
+    matching_edges_at_least,
+    max_matching_size,
 )
 from gallai_ramsey.search import (
     SearchBudget,
+    _nu_at_least,
     all_pattern_free_colorings,
     exhaustive_witness_search,
     random_gallai_sampler,
@@ -43,6 +47,118 @@ def test_fan_witness_at_two_clique_order():
     assert out.status == "witness_found"
     for c in (1, 2):
         assert not brute_force_contains_S(out.witness, c, SPattern(5, 2))
+
+
+# node count and write_graph output of the first witness: a change to the
+# enumeration order or to any prune decision moves them
+PINNED_WITNESSES = {
+    (9, 7, 3): (229, "9 2\n1 1 1 1 1 1 1 1\n1 1 1 1 2 2 2\n1 1 1 2 2 2\n1 1 2 2 2\n"
+                     "1 2 2 2\n2 2 2\n2 2\n2\n"),
+    (10, 7, 3): (606, "10 2\n1 1 1 1 1 1 1 1 2\n1 1 1 1 2 2 2 1\n1 1 1 2 2 2 2\n"
+                      "1 1 2 2 2 2\n1 2 2 2 2\n2 2 2 2\n2 2 1\n2 1\n1\n"),
+    (12, 7, 3): (1332, "12 2\n1 1 1 1 1 1 1 1 2 2 2\n1 1 1 1 2 2 2 1 1 1\n"
+                       "1 1 1 2 2 2 2 2 2\n1 1 2 2 2 2 2 2\n1 2 2 2 2 2 2\n2 2 2 2 2 2\n"
+                       "2 2 1 1 1\n2 1 1 1\n1 1 1\n2 2\n2\n"),
+    (10, 6, 2): (490, "10 2\n1 1 1 1 2 2 2 2 2\n1 1 1 2 2 2 2 2\n1 1 2 2 2 2 2\n"
+                      "1 2 2 2 2 2\n2 2 2 2 2\n1 1 1 1\n1 1 1\n1 1\n1\n"),
+    (12, 7, 2): (1996, "12 2\n1 1 1 1 1 2 2 2 2 2 2\n1 1 1 1 2 2 2 2 2 2\n"
+                       "1 1 1 2 2 2 2 2 2\n1 1 2 2 2 2 2 2\n1 2 2 2 2 2 2\n2 2 2 2 2 2\n"
+                       "1 1 1 1 1\n1 1 1 1\n1 1 1\n1 1\n1\n"),
+}
+
+
+@pytest.mark.parametrize("n, t, r", sorted(PINNED_WITNESSES))
+def test_pinned_witnesses(n, t, r, tmp_path):
+    nodes, text = PINNED_WITNESSES[(n, t, r)]
+    out = exhaustive_witness_search(n, SPattern(t, r))
+    assert (out.status, out.nodes_explored) == ("witness_found", nodes)
+    path = str(tmp_path / "w.txt")
+    write_graph(out.witness, path)
+    with open(path) as fh:
+        assert fh.read() == text
+    for c in (1, 2):
+        assert not brute_force_contains_S(out.witness, c, SPattern(t, r))
+
+
+def _complete_bipartite(a: int, b: int) -> list[int]:
+    """Rows of K_{a,b} with the a-side on vertices 0..a-1."""
+    left, right = (1 << a) - 1, ((1 << (a + b)) - 1) ^ ((1 << a) - 1)
+    return [right if u < a else left for u in range(a + b)]
+
+
+def _clique_plus_star(clique: int, leaves: int) -> list[int]:
+    """Rows of K_clique on 0..clique-1 next to a star centered at vertex clique."""
+    n = clique + 1 + leaves
+    whole = (1 << clique) - 1
+    rows = [whole ^ (1 << u) for u in range(clique)]
+    rows.append(((1 << n) - 1) ^ ((1 << (clique + 1)) - 1))
+    rows += [1 << clique] * leaves
+    return rows
+
+
+@st.composite
+def _graphs_and_members(draw):
+    n = draw(st.integers(1, 20))
+    density = draw(st.integers(1, 3))  # edge probability density/4
+    rows = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if draw(st.integers(0, 3)) < density:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows, draw(st.integers(0, (1 << n) - 1))
+
+
+def _matching_oracles(rows: list[int], members: int, need: int) -> tuple[bool, bool]:
+    n = len(rows)
+    g = ColoredCompleteGraph(n, 2, bytes(
+        1 if rows[u] >> v & 1 else 2 for u in range(n) for v in range(u + 1, n)
+    ))
+    in_m = [u for u in range(n) if members >> u & 1]
+    return (max_matching_size(in_m, g, 1) >= need,
+            matching_edges_at_least(rows.__getitem__, members, need) is not None)
+
+
+@pytest.mark.property_based
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_graphs_and_members(), st.integers(0, 6))
+# need=2 stalls at the first greedy edge: triangle, triangle plus a pendant
+# edge, and a star whose center is not the lowest vertex
+@example(graph=([0b0110, 0b0101, 0b0011, 0], 0b1111), need=2)
+@example(graph=([0b0110, 0b0101, 0b1011, 0b0100], 0b1111), need=2)
+@example(graph=([0b0010, 0b1101, 0b0010, 0b0010], 0b1111), need=2)
+# the recursion runs out of steps on these and the blossom fallback answers
+@example(graph=(_complete_bipartite(2, 57), (1 << 59) - 1), need=3)
+@example(graph=(_complete_bipartite(3, 56), (1 << 59) - 1), need=4)
+@example(graph=(_complete_bipartite(4, 55), (1 << 59) - 1), need=5)
+@example(graph=(_complete_bipartite(5, 54), (1 << 59) - 1), need=6)
+@example(graph=(_complete_bipartite(6, 53), (1 << 59) - 1), need=7)
+@example(graph=(_complete_bipartite(7, 52), (1 << 59) - 1), need=8)
+@example(graph=(_clique_plus_star(5, 40), (1 << 46) - 1), need=4)
+@example(graph=(_clique_plus_star(8, 40), (1 << 49) - 1), need=6)
+def test_nu_at_least_matches_blossom(graph, need):
+    rows, members = graph
+    want, want_greedy = _matching_oracles(rows, members, need)
+    assert want == want_greedy
+    assert _nu_at_least(rows, members, need) == want
+
+
+def test_matching_recursion_is_capped(monkeypatch):
+    calls = []
+    blossom = gallai_ramsey.search._blossom_mates
+
+    def counting(adj):
+        calls.append(len(adj))
+        return blossom(adj)
+
+    monkeypatch.setattr(gallai_ramsey.search, "_blossom_mates", counting)
+    for need in range(3, 9):
+        rows = _complete_bipartite(need - 1, 60 - need)
+        assert not _nu_at_least(rows, (1 << 59) - 1, need)
+        assert _nu_at_least(rows, (1 << 59) - 1, need - 1)
+    assert _nu_at_least(_clique_plus_star(5, 40), (1 << 46) - 1, 3)
+    assert not _nu_at_least(_clique_plus_star(5, 40), (1 << 46) - 1, 4)
+    # one fallback per "no" answer, on rows indexed by vertex id
+    assert calls == [59] * 6 + [46]
 
 
 def test_budget_exceeded():
