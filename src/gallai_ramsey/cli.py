@@ -30,10 +30,11 @@ from .constructions import (
 from .gallai import (
     GallaiPartition,
     find_gallai_partition,
+    find_rainbow_triangle,
     format_partition_report,
     reduced_graph,
 )
-from .patterns import SPattern, brute_force_contains_S, find_rainbow_triangle
+from .patterns import SPattern, brute_force_contains_S
 from .search import (
     BUDGET_EXCEEDED,
     WITNESS_FOUND,

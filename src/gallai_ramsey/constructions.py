@@ -30,7 +30,8 @@ from .colored_graph import (
     new_monochromatic,
     substitute_part,
 )
-from .patterns import SPattern, find_mono_S, find_rainbow_triangle
+from .gallai import find_rainbow_triangle
+from .patterns import SPattern, find_mono_S
 
 
 class ConstructionError(RuntimeError):
@@ -48,10 +49,6 @@ class ConstructionReport:
     t: int
     r: tuple[int, ...]
     verified: bool
-
-    @property
-    def colors_used(self) -> int:
-        return self.k
 
     def line(self) -> str:
         r_txt = ",".join(str(x) for x in self.r)

@@ -1,4 +1,5 @@
-"""Gallai partitions: extraction, verification, and reduced graphs.
+"""Gallai partitions and trees: extraction, verification, reduced graphs and
+rainbow-freeness certificates.
 
 Every edge coloring of a complete graph without a rainbow triangle admits a
 nontrivial vertex partition in which at most two colors appear between parts
@@ -11,7 +12,7 @@ edges colored outside C are forced inside parts, so the connected components
 of those edges form the finest possible partition with between-colors inside
 C.  They are found by a bitset BFS over the per-color rows: a vertex's
 outside-C neighbors are the vertices in none of its C rows, and the search
-stops as soon as vertex 0's component is the whole vertex set.  Parts are
+stops as soon as the first component is the whole vertex set.  Parts are
 then merged to a fixpoint.  For a part P and a color c in C, the agreement
 mask A_c(P) is the AND of the c-rows of P's members: the vertices that see
 all of P in color c.  A vertex outside P and outside every A_c(P) sees P in
@@ -30,6 +31,20 @@ stops exactly at it.  If a valid partition
 with between-colors inside C exists at all, it is such a coarsening, so the
 fixpoint is nontrivial; candidates cover all singletons and pairs of used
 colors, which suffices for every rainbow-free coloring.
+
+The engine works on a vertex set S given as a bitset: components, agreement
+masks and merges only see members of S, so it partitions the coloring
+induced on S.  ``find_gallai_partition`` and ``coarsest_partition_over_pairs``
+run it on the whole vertex set.  ``find_rainbow_triangle`` runs it
+recursively and builds the Gallai tree: by Gallai's theorem a coloring has
+no rainbow triangle exactly when every vertex set with at least 3 vertices
+and at least 3 colors inside splits into parts joined monochromatically in
+at most 2 colors.  A triangle across three parts then sees at most 2
+colors, and one with two vertices in a part sees the third vertex in one
+color, so each split leaves only the triangles inside its parts to check.
+A set that does not split holds a rainbow triangle, and the direct scan
+``patterns.scan_rainbow_triangle`` of the whole graph then names the
+lexicographically first one, so the result equals the scan's on every input.
 """
 
 from __future__ import annotations
@@ -43,7 +58,7 @@ from gallai_ramsey.colored_graph import (
     iter_bits,
     lsb_index,
 )
-from gallai_ramsey.patterns import RainbowTriangle, find_rainbow_triangle
+from gallai_ramsey.patterns import RainbowTriangle, scan_rainbow_triangle
 
 
 @dataclass
@@ -72,8 +87,7 @@ class ReducedGraph:
     representatives: tuple[int, ...]
 
 
-def _candidate_color_sets(g: ColoredCompleteGraph) -> list[frozenset[int]]:
-    used = g.used_colors()
+def _candidate_color_sets(used: list[int]) -> list[frozenset[int]]:
     singles = [frozenset({c}) for c in used]
     pairs = [
         frozenset({used[i], used[j]})
@@ -83,16 +97,16 @@ def _candidate_color_sets(g: ColoredCompleteGraph) -> list[frozenset[int]]:
     return singles + pairs
 
 
-def _components(inside: list[list[int]], n: int) -> Optional[list[int]]:
-    """Components of the edges colored outside the candidate, as bitsets.
+def _components(inside: list[list[int]], S: int) -> Optional[list[int]]:
+    """Components inside the vertex set ``S`` of the edges colored outside the
+    candidate, as bitsets.
 
     ``inside`` holds the rows of the candidate colors: a vertex's neighbors
-    outside the candidate are the vertices in none of its candidate rows.
-    Returns None as soon as vertex 0's component covers every vertex.
+    outside the candidate are the members of S in none of its candidate rows.
+    Returns None as soon as the first component covers all of S.
     """
-    full = (1 << n) - 1
     comps: list[int] = []
-    left = full
+    left = S
     while left:
         comp = frontier = left & -left
         while frontier:
@@ -101,8 +115,8 @@ def _components(inside: list[list[int]], n: int) -> Optional[list[int]]:
                 seen = 1 << u
                 for rows in inside:
                     seen |= rows[u]
-                reach |= full ^ seen
-                if reach | comp == full:
+                reach |= S & ~seen
+                if reach | comp == S:
                     return None
             frontier = reach & ~comp
             comp |= frontier
@@ -111,15 +125,15 @@ def _components(inside: list[list[int]], n: int) -> Optional[list[int]]:
     return comps
 
 
-def _agreement(rows: list[int], part: int, full: int) -> int:
-    """Vertices joined to every member of ``part`` in the color of ``rows``."""
-    common = full
+def _agreement(rows: list[int], part: int, S: int) -> int:
+    """Members of ``S`` joined to every member of ``part`` in the color of ``rows``."""
+    common = S
     for u in iter_bits(part):
         common &= rows[u]
     return common
 
 
-def _coarsen(parts: list[int], inside: list[list[int]], n: int) -> Optional[list[int]]:
+def _coarsen(parts: list[int], inside: list[list[int]], S: int) -> Optional[list[int]]:
     """Merge parts until every part pair is monochromatic; None if one part is left.
 
     Every edge between two parts has a candidate color, so a vertex outside a
@@ -127,11 +141,11 @@ def _coarsen(parts: list[int], inside: list[list[int]], n: int) -> Optional[list
     color) sees the part in two colors, and the part holding that vertex must
     merge with it.  If instead every vertex of Q sees P in one color but not
     all in the same one, each vertex of P sees Q in two colors, so scanning
-    every part finds every pair that is not monochromatic.
+    every part finds every pair that is not monochromatic.  ``parts`` must
+    partition the vertex set ``S``.
     """
-    full = (1 << n) - 1
-    agree = [[_agreement(rows, part, full) for rows in inside] for part in parts]
-    owner = [0] * n
+    agree = [[_agreement(rows, part, S) for rows in inside] for part in parts]
+    owner = [0] * S.bit_length()
     for i, part in enumerate(parts):
         for u in iter_bits(part):
             owner[u] = i
@@ -144,7 +158,7 @@ def _coarsen(parts: list[int], inside: list[list[int]], n: int) -> Optional[list
         seen = parts[i]
         for mask in agree[i]:
             seen |= mask
-        bad = full ^ seen
+        bad = S ^ seen
         if not bad:
             continue  # clean, and stays clean unless it merges
         while bad:
@@ -181,21 +195,62 @@ def _build_partition(g: ColoredCompleteGraph, parts: list[int]) -> GallaiPartiti
     )
 
 
-def _partitions(g: ColoredCompleteGraph) -> Iterator[GallaiPartition]:
-    """The partition of every candidate that yields one, in candidate order.
+def _splits(g: ColoredCompleteGraph, S: int, used: list[int]) -> Iterator[list[int]]:
+    """Parts of every candidate over the colors ``used`` that splits ``S``.
 
     Candidates are tried deterministically: singleton color sets in ascending
     order, then pairs in lexicographic order.
     """
+    for cand in _candidate_color_sets(used):
+        inside = [g.rows(c) for c in cand]
+        parts = _components(inside, S)
+        if parts is not None:
+            parts = _coarsen(parts, inside, S)
+        if parts is not None:
+            yield parts
+
+
+def _partitions(g: ColoredCompleteGraph) -> Iterator[GallaiPartition]:
+    """The partition of every candidate that yields one, in candidate order."""
     if g.n < 2:
         raise ParameterError(f"partition needs n >= 2, got n={g.n}")
-    for cand in _candidate_color_sets(g):
-        inside = [g.rows(c) for c in cand]
-        parts = _components(inside, g.n)
-        if parts is not None:
-            parts = _coarsen(parts, inside, g.n)
-        if parts is not None:
-            yield _build_partition(g, parts)
+    for parts in _splits(g, (1 << g.n) - 1, g.used_colors()):
+        yield _build_partition(g, parts)
+
+
+def _colors_inside(g: ColoredCompleteGraph, S: int) -> list[int]:
+    """Colors of the edges with both ends in the vertex set ``S``, ascending."""
+    used = []
+    for c in range(1, g.k + 1):
+        rows = g.rows(c)
+        if any(rows[u] & S for u in iter_bits(S)):
+            used.append(c)
+    return used
+
+
+def find_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
+    """Lexicographically first rainbow triangle, or None if there is none.
+
+    Builds the Gallai tree of g: a vertex set is a leaf when it has fewer
+    than 3 vertices or its edges use at most 2 colors, and is otherwise split
+    by the first candidate whose fixpoint keeps at least two parts.  If every
+    vertex set splits down to leaves, g has no rainbow triangle.  A set that
+    does not split holds one (Gallai's theorem), and the direct scan of the
+    whole graph then names the lexicographically first.
+    """
+    stack = [(1 << g.n) - 1]
+    while stack:
+        S = stack.pop()
+        if S.bit_count() < 3:
+            continue
+        used = _colors_inside(g, S)
+        if len(used) <= 2:
+            continue
+        parts = next(_splits(g, S, used), None)
+        if parts is None:
+            return scan_rainbow_triangle(g)
+        stack += parts
+    return None
 
 
 def _obstruction(g: ColoredCompleteGraph) -> RainbowTriangle:

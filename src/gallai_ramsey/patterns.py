@@ -105,8 +105,12 @@ class RainbowTriangle:
 # -- rainbow triangle scan ----------------------------------------------------
 
 
-def find_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
+def scan_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
     """Lexicographically first triple with three distinct edge colors, if any.
+
+    The direct O(n^2 k) scan behind ``gallai.find_rainbow_triangle``: that
+    function calls it when the Gallai tree finds a set that does not split,
+    and the tests use it as the oracle for the tree.
 
     For each pair (i, j) a third vertex l > j completes a rainbow triangle iff
     the colors at l differ from each other and from color(i, j); all three
@@ -315,19 +319,26 @@ def matching_edges_at_least(
 def find_mono_S(
     g: ColoredCompleteGraph, c: int, p: SPattern
 ) -> Optional[SWitness]:
-    """First witness of the pattern in color c, scanning centers in id order."""
+    """First witness of the pattern in color c, scanning centers in id order.
+
+    Whether a center works depends only on its neighborhood bitset, so a
+    neighborhood that failed the matching test is not tested again: in
+    blow-ups, many vertices share their rows.
+    """
     n = g.n
     t, r = p.t, p.r
     if n < t:
         return None
     rows = g.rows(c)
     row_of = rows.__getitem__
+    failed: set[int] = set()
     for v in range(n):
         nb = rows[v]
-        if nb.bit_count() < t - 1:
+        if nb.bit_count() < t - 1 or nb in failed:
             continue
         edges = matching_edges_at_least(row_of, nb, r)
         if edges is None:
+            failed.add(nb)
             continue
         edges = sorted(tuple(sorted(e)) for e in edges)
         used = 0

@@ -38,13 +38,13 @@ from functools import partial
 from typing import Optional
 
 from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError
+from gallai_ramsey.gallai import find_rainbow_triangle
 from gallai_ramsey.patterns import (
     RainbowTriangle,
     SPattern,
     SWitness,
     _blossom_mates,
     find_mono_S,
-    find_rainbow_triangle,
 )
 
 WITNESS_FOUND = "witness_found"
@@ -300,13 +300,19 @@ def all_pattern_free_colorings(
 
 @dataclass
 class VerificationReport:
-    """Per-color verdicts for rainbow-freeness and pattern-freeness."""
+    """Per-color verdicts for rainbow-freeness and pattern-freeness.
+
+    ``rainbow_s`` is the seconds spent on the rainbow check and ``mono_s[c]``
+    those spent on the pattern detector in color c.
+    """
 
     ok: bool
     pattern: SPattern
     rainbow: Optional[RainbowTriangle]
     mono_witnesses: dict[int, SWitness]
     elapsed: float
+    rainbow_s: float
+    mono_s: dict[int, float]
 
     def lines(self) -> list[str]:
         out = [f"rainbow: {'none' if self.rainbow is None else self.rainbow.vertices}"]
@@ -319,12 +325,16 @@ class VerificationReport:
 
 
 def verify_construction(g: ColoredCompleteGraph, p: SPattern) -> VerificationReport:
-    """Run the rainbow scan plus the pattern detector in every color of g."""
+    """Run the rainbow check plus the pattern detector in every color of g."""
     start = time.perf_counter()
     rainbow = find_rainbow_triangle(g)
+    rainbow_s = time.perf_counter() - start
     mono: dict[int, SWitness] = {}
+    mono_s: dict[int, float] = {}
     for c in range(1, g.k + 1):
+        t0 = time.perf_counter()
         w = find_mono_S(g, c, p)
+        mono_s[c] = time.perf_counter() - t0
         if w is not None:
             mono[c] = w
     return VerificationReport(
@@ -333,6 +343,8 @@ def verify_construction(g: ColoredCompleteGraph, p: SPattern) -> VerificationRep
         rainbow=rainbow,
         mono_witnesses=mono,
         elapsed=time.perf_counter() - start,
+        rainbow_s=rainbow_s,
+        mono_s=mono_s,
     )
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 
-from gallai_ramsey.colored_graph import ColoredCompleteGraph
+from gallai_ramsey.colored_graph import ColoredCompleteGraph, lsb_index
 from gallai_ramsey.gallai import GallaiPartition
-from gallai_ramsey.patterns import RainbowTriangle
+from gallai_ramsey.patterns import RainbowTriangle, SPattern, SWitness, matching_edges_at_least
 
 
 def random_graph(rng: random.Random, n: int, k: int) -> ColoredCompleteGraph:
@@ -26,6 +26,60 @@ def has_rainbow_triangle_slow(g: ColoredCompleteGraph) -> tuple[int, int, int] |
                 if cab != cac and cab != cbc and cac != cbc:
                     return (a, b, c)
     return None
+
+
+def random_blowup(rng: random.Random, m: int, max_part: int, k: int) -> ColoredCompleteGraph:
+    """Random m-vertex template coloring, each vertex blown up to a clique.
+
+    Each template vertex becomes a clique of 1..max_part vertices in one
+    random color; an edge between two cliques takes the template color, so
+    the vertices of one clique share their rows in every other color.
+    """
+    template = random_graph(rng, m, k)
+    part_of: list[int] = []
+    for i in range(m):
+        part_of += [i] * rng.randint(1, max_part)
+    inner = [rng.randint(1, k) for _ in range(m)]
+    buf = bytearray()
+    for u in range(len(part_of)):
+        for v in range(u + 1, len(part_of)):
+            a, b = part_of[u], part_of[v]
+            buf.append(inner[a] if a == b else template.color(a, b))
+    return ColoredCompleteGraph(len(part_of), k, buf)
+
+
+def rainbow_free_3colorings(n: int):
+    """One representative per color-permutation class, rainbow-pruned.
+
+    Colors are assigned to edges grouped by larger endpoint; restricted
+    growth (a new color only after all smaller ones) kills permuted
+    duplicates, and each triangle is checked at its closing edge.
+    """
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    idx = {p: e for e, p in enumerate(pairs)}
+    colors = [0] * len(pairs)
+    out = []
+
+    def rec(e: int, used: int) -> None:
+        if e == len(pairs):
+            g = ColoredCompleteGraph(n, 3)
+            for ee, (i, j) in enumerate(pairs):
+                g.set_color(i, j, colors[ee])
+            out.append(g)
+            return
+        i, j = pairs[e]
+        for c in range(1, min(3, used + 1) + 1):
+            for a in range(i):
+                c1, c2 = colors[idx[(a, i)]], colors[idx[(a, j)]]
+                if c != c1 and c != c2 and c1 != c2:
+                    break
+            else:
+                colors[e] = c
+                rec(e + 1, max(used, c))
+        colors[e] = 0
+
+    rec(0, 0)
+    return out
 
 
 def random_parts_graph(
@@ -73,6 +127,34 @@ def brute_max_matching(n: int, edges: list[tuple[int, int]]) -> int:
 
     rec(0, 0, 0)
     return best
+
+
+def find_mono_S_reference(g: ColoredCompleteGraph, c: int, p: SPattern) -> SWitness | None:
+    """``find_mono_S`` without its memo: every center of high enough degree
+    runs the matching test."""
+    t, r = p.t, p.r
+    if g.n < t:
+        return None
+    rows = g.rows(c)
+    for v in range(g.n):
+        nb = rows[v]
+        if nb.bit_count() < t - 1:
+            continue
+        edges = matching_edges_at_least(rows.__getitem__, nb, r)
+        if edges is None:
+            continue
+        edges = sorted(tuple(sorted(e)) for e in edges)
+        used = 0
+        for a, b in edges:
+            used |= (1 << a) | (1 << b)
+        pendants = []
+        rest = nb & ~used
+        while len(pendants) < p.pendant_count:
+            w = lsb_index(rest)
+            rest &= rest - 1
+            pendants.append(w)
+        return SWitness(center=v, triangle_edges=tuple(edges), pendants=tuple(pendants), color=c)
+    return None
 
 
 def has_mono_triangle_slow(g: ColoredCompleteGraph, colors: set[int]) -> bool:

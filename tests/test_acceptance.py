@@ -153,46 +153,12 @@ def test_criterion_6_detector_oracle_equivalence():
                    f"{elapsed:.1f}s < 120s")
 
 
-def _rainbow_free_3colorings(n: int):
-    """One representative per color-permutation class, rainbow-pruned.
-
-    Colors are assigned to edges grouped by larger endpoint; restricted
-    growth (a new color only after all smaller ones) kills permuted
-    duplicates, and each triangle is checked at its closing edge.
-    """
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    idx = {p: e for e, p in enumerate(pairs)}
-    colors = [0] * len(pairs)
-    out = []
-
-    def rec(e: int, used: int) -> None:
-        if e == len(pairs):
-            g = ColoredCompleteGraph(n, 3)
-            for ee, (i, j) in enumerate(pairs):
-                g.set_color(i, j, colors[ee])
-            out.append(g)
-            return
-        i, j = pairs[e]
-        for c in range(1, min(3, used + 1) + 1):
-            for a in range(i):
-                c1, c2 = colors[idx[(a, i)]], colors[idx[(a, j)]]
-                if c != c1 and c != c2 and c1 != c2:
-                    break
-            else:
-                colors[e] = c
-                rec(e + 1, max(used, c))
-        colors[e] = 0
-
-    rec(0, 0)
-    return out
-
-
 def test_criterion_7_gallai_partition_exhaustive_and_sampled():
     t0 = time.perf_counter()
     class_counts = {}
     checked = 0
     for n in range(2, 7):
-        reps = _rainbow_free_3colorings(n)
+        reps = helpers.rainbow_free_3colorings(n)
         class_counts[n] = len(reps)
         for g in reps:
             res = find_gallai_partition(g)

@@ -218,7 +218,8 @@ def test_file_format_exact_bytes(tmp_path):
     g = ColoredCompleteGraph(3, 2, bytes([1, 2, 1]))
     path = str(tmp_path / "g.txt")
     write_graph(g, path)
-    assert open(path, "rb").read() == b"3 2\n1 2\n1\n"
+    with open(path, "rb") as fh:
+        assert fh.read() == b"3 2\n1 2\n1\n"
 
 
 def test_round_trip_500_random_graphs(tmp_path):

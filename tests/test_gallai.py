@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gallai_ramsey.gallai
 from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
     ParameterError,
@@ -18,14 +19,15 @@ from gallai_ramsey.gallai import (
     GallaiPartition,
     coarsest_partition_over_pairs,
     find_gallai_partition,
+    find_rainbow_triangle,
     format_partition_report,
     reduced_graph,
     verify_gallai_partition,
 )
-from gallai_ramsey.patterns import RainbowTriangle, find_rainbow_triangle
+from gallai_ramsey.patterns import RainbowTriangle, scan_rainbow_triangle
 from gallai_ramsey.search import random_gallai_sampler
 
-from helpers import gallai_partition_reference, random_graph
+from helpers import gallai_partition_reference, rainbow_free_3colorings, random_graph
 
 # 2-coloring of K_5 by the five-cycle: edges (i, i+1 mod 5) get color 1,
 # diagonals color 2.  Both color classes are connected.
@@ -332,3 +334,70 @@ def test_partition_matches_reference(kind, seed):
         ):
             # dataclass equality: same type, and every field equal
             assert fn(g) == gallai_partition_reference(g, coarsest=coarsest)
+
+
+# -- Gallai-tree certification ------------------------------------------------
+
+
+@pytest.fixture
+def no_scan_fallback(monkeypatch):
+    """Make the tree's fallback to the direct scan fail the test.
+
+    By Gallai's theorem every vertex set of a rainbow-free coloring splits,
+    so certifying one must never reach the fallback.
+    """
+
+    def fail(g):
+        raise AssertionError("rainbow-free input fell back to the direct scan")
+
+    monkeypatch.setattr(gallai_ramsey.gallai, "scan_rainbow_triangle", fail)
+
+
+def test_tree_certifies_every_rainbow_free_class(no_scan_fallback):
+    # every color-permutation class of rainbow-free 3-colorings, n <= 6
+    for n in range(2, 7):
+        for g in rainbow_free_3colorings(n):
+            assert scan_rainbow_triangle(g) is None
+            assert find_rainbow_triangle(g) is None
+
+
+def test_tree_certifies_towers_and_samples(no_scan_fallback):
+    for build in (build_G62, build_G82):
+        for k in range(2, 7):
+            assert find_rainbow_triangle(build(k, verify=False).graph) is None
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_gallai_sampler(rng.randint(1, 6), rng.randint(1, 200), seed)
+        assert find_rainbow_triangle(g) is None
+
+
+def _recolored_inputs(family, seed):
+    if family == "sampler":
+        rng = random.Random(seed)
+        k, n = rng.randint(1, 6), rng.randint(3, 200)
+        g = random_gallai_sampler(k, n, seed)
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(range(n), 2)
+            g.set_color(u, v, rng.randint(1, k))
+        return [g]
+    build = {"g62": build_G62, "g82": build_G82}[family]
+    out = []
+    for k in range(2, 7):
+        g = build(k, verify=False).graph
+        # vertices 0..2 lie in the first K_5/K_7 block, a leaf of the tree;
+        # where that block is a matched clique, (0, 1, 2) becomes rainbow
+        g.set_color(0, 2, k)
+        out.append(g)
+    return out
+
+
+@pytest.mark.property_based
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(family=st.just("sampler"), seed=st.integers(min_value=0, max_value=10**9))
+@example(family="g62", seed=0)
+@example(family="g82", seed=0)
+def test_tree_matches_scan_on_recolored_gallai_colorings(family, seed):
+    # recolored edges put rainbow triangles deep inside the tree; the
+    # triangle itself must be the scan's lexicographically first one
+    for g in _recolored_inputs(family, seed):
+        assert find_rainbow_triangle(g) == scan_rainbow_triangle(g)

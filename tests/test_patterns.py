@@ -9,7 +9,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gallai_ramsey.colored_graph import (
@@ -18,17 +18,21 @@ from gallai_ramsey.colored_graph import (
     join,
     new_monochromatic,
 )
+from gallai_ramsey.constructions import build_G62, build_G82
+from gallai_ramsey.gallai import find_rainbow_triangle
 from gallai_ramsey.patterns import (
     SPattern,
     brute_force_contains_S,
     find_mono_S,
     find_mono_fan,
-    find_rainbow_triangle,
     max_matching_size,
+    scan_rainbow_triangle,
 )
 from helpers import (
     brute_max_matching,
+    find_mono_S_reference,
     has_rainbow_triangle_slow,
+    random_blowup,
     random_graph,
     random_parts_graph,
 )
@@ -49,33 +53,40 @@ def test_spattern_validation():
 # -- rainbow triangles ---------------------------------------------------------
 
 
+# the Gallai-tree certificate and the direct scan it falls back on
+RAINBOW_FINDERS = (find_rainbow_triangle, scan_rainbow_triangle)
+
+
 def test_two_colored_graph_has_no_rainbow_triangle():
     rng = random.Random(5)
     for _ in range(30):
         g = random_graph(rng, rng.randint(3, 12), 2)
-        assert find_rainbow_triangle(g) is None
+        for find in RAINBOW_FINDERS:
+            assert find(g) is None
 
 
 def test_rainbow_k3():
     g = ColoredCompleteGraph(3, 3, bytes([1, 2, 3]))
-    tri = find_rainbow_triangle(g)
-    assert tri is not None and tri.vertices == (0, 1, 2)
-    assert sorted(tri.colors) == [1, 2, 3]
-    assert tri.validate(g)
+    for find in RAINBOW_FINDERS:
+        tri = find(g)
+        assert tri is not None and tri.vertices == (0, 1, 2)
+        assert sorted(tri.colors) == [1, 2, 3]
+        assert tri.validate(g)
 
 
 @pytest.mark.property_based
 @given(seed=st.integers(0, 10**6))
-@settings(max_examples=150, derandomize=True)
+@settings(max_examples=200, derandomize=True)
 def test_rainbow_scan_matches_triple_loop(seed):
     rng = random.Random(seed)
-    g = random_graph(rng, rng.randint(1, 12), rng.randint(1, 4))
-    tri = find_rainbow_triangle(g)
+    g = random_graph(rng, rng.randint(1, 14), rng.randint(1, 5))
     slow = has_rainbow_triangle_slow(g)
+    tri = scan_rainbow_triangle(g)
     assert (tri is None) == (slow is None)
     if tri is not None:
         assert tri.validate(g)
         assert tri.vertices == slow  # lexicographically first triple
+    assert find_rainbow_triangle(g) == tri
 
 
 # -- maximum matching ----------------------------------------------------------
@@ -193,6 +204,29 @@ def test_detector_matches_oracle_randomized(seed):
             assert (w is not None) == brute_force_contains_S(g, c, p)
             if w is not None:
                 assert w.validate(g, p)
+
+
+REFERENCE_PATTERNS = [SPattern(t, r) for t, r in ((3, 1), (4, 0), (4, 1), (5, 2), (6, 2), (7, 3), (8, 2))]
+
+
+@pytest.mark.property_based
+@given(kind=st.sampled_from(("blowup", "random")), seed=st.integers(0, 10**6))
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example(kind="towers", seed=0)
+def test_detector_matches_unmemoised_reference(kind, seed):
+    # skipping centers whose neighborhood already failed must not change
+    # any witness; blow-ups repeat rows, random graphs mostly do not
+    rng = random.Random(seed)
+    if kind == "towers":
+        graphs = [build(k, verify=False).graph for build in (build_G62, build_G82) for k in (2, 3, 4)]
+    elif kind == "blowup":
+        graphs = [random_blowup(rng, rng.randint(2, 8), rng.randint(1, 6), rng.randint(1, 4))]
+    else:
+        graphs = [random_graph(rng, rng.randint(2, 30), rng.randint(1, 4))]
+    for g in graphs:
+        for p in REFERENCE_PATTERNS:
+            for c in range(1, g.k + 1):
+                assert find_mono_S(g, c, p) == find_mono_S_reference(g, c, p)
 
 
 @pytest.mark.property_based

@@ -9,11 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 import gallai_ramsey.search
 from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError, write_graph
 from gallai_ramsey.constructions import build_G62, two_clique_witness
-from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition
+from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition, find_rainbow_triangle
 from gallai_ramsey.patterns import (
     SPattern,
     brute_force_contains_S,
-    find_rainbow_triangle,
     matching_edges_at_least,
     max_matching_size,
 )
@@ -254,6 +253,17 @@ def test_verify_construction_all_clear():
     rep = verify_construction(two_clique_witness(6, verify=False).graph, SPattern(6, 2))
     assert rep.ok and rep.rainbow is None and not rep.mono_witnesses
     assert rep.lines()[0] == "rainbow: none"
+
+
+def test_verification_report_stage_timings():
+    g = build_G62(3, verify=False).graph
+    rep = verify_construction(g, SPattern(6, 2))
+    assert rep.rainbow_s >= 0
+    assert sorted(rep.mono_s) == list(range(1, g.k + 1))
+    assert all(s >= 0 for s in rep.mono_s.values())
+    assert rep.rainbow_s + sum(rep.mono_s.values()) <= rep.elapsed
+    # the text report is unchanged by the timings
+    assert rep.lines()[:2] == ["rainbow: none", "pattern: none in any color"]
 
 
 def test_mutate_between_blocks_creates_rainbow():
