@@ -10,16 +10,16 @@ strided slice stores for the lower part) and turns each block row into one
 bitset per color with ``bytes.translate`` and a base-2 ``int`` parse, so no
 n x n matrix is ever held.
 
-The composition operators (``join``, ``blowup_pentagon``, ``substitute_part``)
-are the building blocks for every lower-bound coloring this package can
-generate: joins put one color on all cross edges, the pentagon blow-up expands
-the unique triangle-free 2-coloring of K_5, and part substitution splices a
-replacement coloring into a homogeneous part.
+Every lower-bound coloring this package generates is a tower of two
+operators, both assembling the new table from row slices (``row_bytes``).
+``blowup`` replaces each template vertex by a part: ``join`` and
+``blowup_pentagon`` only build a 2- or 5-vertex template, and the sampler
+draws its own.  ``substitute_part`` splices a replacement coloring into a
+homogeneous block of consecutive vertex ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -50,14 +50,23 @@ _BITS = b"0" * 255 + b"1" + b"0" * 255
 _ROW_BLOCK = 64  # vertex rows gathered per byte block while building bitsets
 _ASCII = bytes(range(128))
 
+MAX_ORDER = 10_000
+"""Most vertices a graph may have.
 
-@dataclass(frozen=True)
-class ColorNeighborhood:
-    """All vertices joined to ``vertex`` by edges of one color."""
+Order n costs n^2/2 bytes of colors plus n^2/8 bytes of rows per color: 50 MB
+plus 12.5 MB per color at 10,000, what a small machine can give one process.
+Past it a tower or a sample runs out of memory, or for hours, instead of
+failing.  The largest order in the tests, the benchmark and the README is
+1,762 (``build_G82(8)``); G62 and G82 at k = 9, 10 (3,187..8,812) still fit.
+"""
 
-    vertex: int
-    color: int
-    members: frozenset[int]
+
+def check_order(n: int, k: int) -> None:
+    """Raise ``ParameterError`` unless a graph on n vertices in k colors can be held."""
+    if not 1 <= k <= 255:
+        raise ParameterError(f"color count must be in 1..255, got {k}")
+    if not 1 <= n <= MAX_ORDER:
+        raise ParameterError(f"vertex count must be in 1..{MAX_ORDER}, got {n}")
 
 
 class ColoredCompleteGraph:
@@ -70,12 +79,7 @@ class ColoredCompleteGraph:
     __slots__ = ("n", "k", "_colors", "_rows")
 
     def __init__(self, n: int, k: int, colors: bytes | bytearray | None = None):
-        if n < 1:
-            raise ParameterError(f"vertex count must be >= 1, got {n}")
-        if k < 1:
-            raise ParameterError(f"color count must be >= 1, got {k}")
-        if k > 255:
-            raise ParameterError(f"color count above 255 is not supported, got {k}")
+        check_order(n, k)
         self.n = n
         self.k = k
         npairs = n * (n - 1) // 2
@@ -197,17 +201,29 @@ def new_monochromatic(n: int, k: int, c: int) -> ColoredCompleteGraph:
     return g
 
 
-def edge_color(g: ColoredCompleteGraph, u: int, v: int) -> int:
-    return g.color(u, v)
+def blowup(
+    template: ColoredCompleteGraph, parts: list[ColoredCompleteGraph]
+) -> ColoredCompleteGraph:
+    """Blow-up of ``template``: vertex i becomes ``parts[i]``, ids in template order.
 
-
-def set_edge_color(g: ColoredCompleteGraph, u: int, v: int, c: int) -> None:
-    g.set_color(u, v, c)
-
-
-def color_neighborhood(g: ColoredCompleteGraph, v: int, c: int) -> ColorNeighborhood:
-    """The set of vertices joined to v in color c."""
-    return ColorNeighborhood(vertex=v, color=c, members=frozenset(iter_bits(g.row(v, c))))
+    An edge between parts i and j takes the template's color of {i, j}, so each
+    new row is a part's row followed by one run of a template color per later part.
+    """
+    if len(parts) != template.n:
+        raise ParameterError(f"template has {template.n} vertices, got {len(parts)} parts")
+    k = parts[0].k
+    if any(p.k != k for p in parts):
+        raise ParameterError("all parts must share the same color count")
+    bad = [c for c in template.used_colors() if c > k]
+    if bad:
+        raise ParameterError(f"template color {bad[0]} outside 1..{k}")
+    buf = bytearray()
+    for i, part in enumerate(parts):
+        tail = b"".join(bytes([c]) * q.n for c, q in zip(template.row_bytes(i), parts[i + 1 :]))
+        for u in range(part.n):
+            buf += part.row_bytes(u)
+            buf += tail
+    return ColoredCompleteGraph(sum(p.n for p in parts), k, buf)
 
 
 def join(g1: ColoredCompleteGraph, g2: ColoredCompleteGraph, c: int) -> ColoredCompleteGraph:
@@ -215,20 +231,7 @@ def join(g1: ColoredCompleteGraph, g2: ColoredCompleteGraph, c: int) -> ColoredC
 
     g2's vertices are shifted up by g1.n; both inputs keep their colorings.
     """
-    if g1.k != g2.k:
-        raise ParameterError(f"color counts differ: {g1.k} vs {g2.k}")
-    k = g1.k
-    if not 1 <= c <= k:
-        raise ParameterError(f"color id {c} outside 1..{k}")
-    n1, n2 = g1.n, g2.n
-    cross = bytes([c]) * n2
-    buf = bytearray()
-    for u in range(n1):
-        buf += g1.row_bytes(u)
-        buf += cross
-    for u in range(n2):
-        buf += g2.row_bytes(u)
-    return ColoredCompleteGraph(n1 + n2, k, buf)
+    return blowup(new_monochromatic(2, g1.k, c), [g1, g2])
 
 
 def blowup_pentagon(
@@ -241,27 +244,12 @@ def blowup_pentagon(
     c1 = c2 would put a monochromatic triangle in the template, so it is
     rejected.
     """
-    if len(parts) != 5:
-        raise ParameterError(f"need exactly 5 parts, got {len(parts)}")
-    k = parts[0].k
-    if any(p.k != k for p in parts):
-        raise ParameterError("all parts must share the same color count")
-    if not (1 <= c1 <= k and 1 <= c2 <= k):
-        raise ParameterError(f"template colors ({c1}, {c2}) outside 1..{k}")
     if c1 == c2:
         raise ParameterError("template colors must differ")
-    sizes = [p.n for p in parts]
-    buf = bytearray()
-    for i, part in enumerate(parts):
-        tails = []
-        for j in range(i + 1, 5):
-            tc = c1 if (j - i) in (1, 4) else c2
-            tails.append(bytes([tc]) * sizes[j])
-        tail = b"".join(tails)
-        for u in range(part.n):
-            buf += part.row_bytes(u)
-            buf += tail
-    return ColoredCompleteGraph(sum(sizes), k, buf)
+    pentagon = new_monochromatic(5, max(c1, c2), c2)
+    for i in range(5):
+        pentagon.set_color(i, (i + 1) % 5, c1)
+    return blowup(pentagon, parts)
 
 
 def substitute_part(
@@ -269,82 +257,59 @@ def substitute_part(
     part_vertices: Iterable[int],
     replacement: ColoredCompleteGraph,
 ) -> ColoredCompleteGraph:
-    """Replace a homogeneous part of g by a whole colored graph.
+    """Replace a homogeneous block of consecutive vertex ids by a whole colored graph.
 
-    The part must be homogeneous: every vertex outside it sees all of its
-    members in one color.  That color is kept on all edges between the outside
-    vertex and the replacement.  The replacement occupies ids starting at the
-    part's smallest vertex id; external vertices keep their relative order.
+    Every vertex outside the block must see all of its members in one color;
+    that color is kept on all its edges to the replacement, which takes ids
+    from the block's first id on.  The new table is spliced from row slices.
     """
     part = sorted(set(part_vertices))
     if not part:
         raise ParameterError("part is empty")
     if part[0] < 0 or part[-1] >= g.n:
         raise ParameterError(f"part vertices out of range 0..{g.n - 1}")
+    a, b = part[0], part[-1] + 1
+    if len(part) != b - a:
+        raise ParameterError(f"part is not a block of consecutive ids {a}..{b - 1}")
     if replacement.k != g.k:
         raise ParameterError(f"color counts differ: {g.k} vs {replacement.k}")
-    in_part = set(part)
-    external = [w for w in range(g.n) if w not in in_part]
-    toward_part: dict[int, int] = {}
-    for w in external:
-        cols = {g.color(w, p) for p in part}
-        if len(cols) > 1:
-            raise ParameterError(
-                f"part is not homogeneous: vertex {w} sees colors {sorted(cols)}"
-            )
-        toward_part[w] = cols.pop()
 
-    a = part[0]
-    m = replacement.n
-    # new id layout: externals below a, then the replacement block, then the rest
-    ext_after = [w for w in external if w > a]
-    old_of: list[tuple[str, int]] = [("ext", w) for w in range(a)]
-    old_of += [("rep", i) for i in range(m)]
-    old_of += [("ext", w) for w in ext_after]
+    def mixed(w: int) -> ParameterError:
+        cols = sorted({g.color(w, p) for p in part})
+        return ParameterError(f"part is not homogeneous: vertex {w} sees colors {cols}")
 
-    new_n = len(old_of)
     buf = bytearray()
-    for x in range(new_n):
-        kind_x, ix = old_of[x]
-        for y in range(x + 1, new_n):
-            kind_y, iy = old_of[y]
-            if kind_x == "rep" and kind_y == "rep":
-                buf.append(replacement.color(ix, iy))
-            elif kind_x == "ext" and kind_y == "ext":
-                buf.append(g.color(ix, iy))
-            elif kind_x == "ext":
-                buf.append(toward_part[ix])
-            else:
-                buf.append(toward_part[iy])
-    return ColoredCompleteGraph(new_n, g.k, buf)
-
-
-def induced_subgraph(
-    g: ColoredCompleteGraph, vertices: Iterable[int]
-) -> ColoredCompleteGraph:
-    """Coloring induced on the given vertices, relabeled in ascending order."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise ParameterError("vertex set is empty")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise ParameterError(f"vertices out of range 0..{g.n - 1}")
-    buf = bytearray()
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            buf.append(g.color(u, v))
-    return ColoredCompleteGraph(len(vs), g.k, buf)
+    for w in range(a):  # w sees the block on one slice of its row
+        rb = g.row_bytes(w)
+        if len(set(rb[a - w - 1 : b - w - 1])) > 1:
+            raise mixed(w)
+        buf += rb[: a - w - 1]
+        buf += bytes([rb[a - w - 1]]) * replacement.n
+        buf += rb[b - w - 1 :]
+    # a vertex w after the block sees member p in color row_bytes(p)[w - p - 1],
+    # so every member's row tail must equal the last member's row
+    tail = g.row_bytes(b - 1)
+    for p in range(a, b - 1):
+        other = g.row_bytes(p)[b - p - 1 :]
+        if other != tail:
+            raise mixed(b + next(i for i, c in enumerate(tail) if other[i] != c))
+    for u in range(replacement.n):
+        buf += replacement.row_bytes(u)
+        buf += tail
+    for w in range(b, g.n):
+        buf += g.row_bytes(w)
+    return ColoredCompleteGraph(g.n - (b - a) + replacement.n, g.k, buf)
 
 
 # -- serialization ------------------------------------------------------------
 
 
 def write_graph(g: ColoredCompleteGraph, path: str) -> None:
-    """Write g in the text format read back by ``read_graph`` (bit-exact)."""
-    lines = [f"{g.n} {g.k}\n"]
-    for u in range(g.n - 1):
-        lines.append(" ".join(str(c) for c in g.row_bytes(u)) + "\n")
+    """Write g, one row at a time, in the text format ``read_graph`` reads back bit-exactly."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.writelines(lines)
+        fh.write(f"{g.n} {g.k}\n")
+        for u in range(g.n - 1):
+            fh.write(" ".join(map(str, g.row_bytes(u))) + "\n")
 
 
 def read_graph(path: str) -> ColoredCompleteGraph:

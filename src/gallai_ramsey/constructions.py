@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .colored_graph import (
     ColoredCompleteGraph,
     ParameterError,
     blowup_pentagon,
+    check_order,
     join,
     new_monochromatic,
     substitute_part,
@@ -72,6 +73,14 @@ def _certify(g: ColoredCompleteGraph, t: int, rs: Sequence[int], family: str) ->
                     f"{family}: monochromatic (t={t}, r={r}) in color {c}"
                     f" centered at {w.center}"
                 )
+
+
+def _planned_order(k: int, order: Callable[[], int]) -> int:
+    """``order()``, the order a tower in k colors will have, once it can be held."""
+    check_order(1, k)  # orders are powers of 5 in k: bound k before evaluating one
+    n = order()
+    check_order(n, k)
+    return n
 
 
 def _exact_int(x: Fraction, what: str) -> int:
@@ -122,6 +131,7 @@ def two_clique_witness(t: int, verify: bool = True) -> ConstructionReport:
     """
     if t < 3:
         raise ParameterError(f"need t >= 3, got {t}")
+    check_order(2 * t - 2, 2)
     half = new_monochromatic(t - 1, 2, 1)
     g = join(half, half, 2)
     rs = tuple(range(1, (t - 1) // 2 + 1))
@@ -154,20 +164,21 @@ def matched_clique(
     return g
 
 
-def _splice_block(
+def _splice_blocks(
     g: ColoredCompleteGraph,
     blocks: list[int],
     spans: list[int],
-    start: int,
+    subs: list[tuple[int, ColoredCompleteGraph]],
     length: int,
-    rep: ColoredCompleteGraph,
 ) -> tuple[ColoredCompleteGraph, list[int], list[int]]:
-    # replace the base block [start, start+length) and shift later offsets
-    g2 = substitute_part(g, range(start, start + length), rep)
-    d = rep.n - length
-    blocks2 = [b + d if b > start else b for b in blocks if b != start]
-    spans2 = [s + d if s > start else s for s in spans]
-    return g2, blocks2, spans2
+    # replace each base block [start, start+length) by its clique, the last
+    # block first so the starts still to come stay valid, and shift later offsets
+    for start, rep in sorted(subs, key=lambda sr: -sr[0]):
+        g = substitute_part(g, range(start, start + length), rep)
+        d = rep.n - length
+        blocks = [b + d if b > start else b for b in blocks if b != start]
+        spans = [s + d if s > start else s for s in spans]
+    return g, blocks, spans
 
 
 def _first_block_in(blocks: list[int], span: int) -> int:
@@ -211,9 +222,7 @@ def _g62_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list
         b0 = _first_block_in(blocks, s0)
         subs = [(b0, matched_clique(6, 1, [2, level - 1, level], k))]
         spans = [s for s in spans if s != s0]
-    for start, rep in sorted(subs, key=lambda sr: -sr[0]):
-        g, blocks, spans = _splice_block(g, blocks, spans, start, 5, rep)
-    return g, blocks, spans
+    return _splice_blocks(g, blocks, spans, subs, 5)
 
 
 def _g82_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list[int]]:
@@ -249,9 +258,7 @@ def _g82_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list
             (b1, matched_clique(8, 1, [2, 3, 4, level - 1], k)),
         ]
         spans = [s for s in spans if s not in (s0, s1)]
-    for start, rep in sorted(subs, key=lambda sr: -sr[0]):
-        g, blocks, spans = _splice_block(g, blocks, spans, start, 7, rep)
-    return g, blocks, spans
+    return _splice_blocks(g, blocks, spans, subs, 7)
 
 
 def _general_core(level: int, t: int, k: int) -> ColoredCompleteGraph:
@@ -281,8 +288,8 @@ def build_general_lower(
     for rr in rs:
         if not 1 <= rr <= (t - 1) // 2:
             raise ParameterError(f"pattern needs 1 <= r <= (t-1)/2, got r={rr} with t={t}")
+    predicted = _planned_order(k, lambda: predicted_general_order(k, t))
     g = _general_core(k, t, k)
-    predicted = predicted_general_order(k, t)
     if g.n != predicted:
         raise ConstructionError(f"general: assembled {g.n} vertices, expected {predicted}")
     if verify:
@@ -312,8 +319,8 @@ def build_G62(k: int, verify: bool = True) -> ConstructionReport:
     """
     if k < 2:
         raise ParameterError(f"need k >= 2, got {k}")
+    predicted = _planned_order(k, lambda: predicted_g62_order(k))
     g, _, _ = _g62_core(k, k)
-    predicted = predicted_g62_order(k)
     if g.n != predicted:
         raise ConstructionError(f"g62: assembled {g.n} vertices, expected {predicted}")
     if verify:
@@ -341,8 +348,8 @@ def build_G82(k: int, verify: bool = True) -> ConstructionReport:
     """
     if k < 2:
         raise ParameterError(f"need k >= 2, got {k}")
+    predicted = _planned_order(k, lambda: predicted_g82_order(k))
     g, _, _ = _g82_core(k, k)
-    predicted = predicted_g82_order(k)
     if g.n != predicted:
         raise ConstructionError(f"g82: assembled {g.n} vertices, expected {predicted}")
     if verify:

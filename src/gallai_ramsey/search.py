@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError
+from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError, blowup, check_order
 from gallai_ramsey.gallai import find_rainbow_triangle
 from gallai_ramsey.patterns import (
     RainbowTriangle,
@@ -351,38 +351,17 @@ def verify_construction(g: ColoredCompleteGraph, p: SPattern) -> VerificationRep
 # -- random Gallai colorings -----------------------------------------------------
 
 
-def _blowup_general(
-    template: list[list[int]], parts: list[ColoredCompleteGraph], k: int
-) -> ColoredCompleteGraph:
-    """Blow-up of an arbitrary template coloring (template[i][j] = color)."""
-    m = len(parts)
-    sizes = [q.n for q in parts]
-    buf = bytearray()
-    for i, part in enumerate(parts):
-        tails = []
-        for j in range(i + 1, m):
-            tails.append(bytes([template[i][j]]) * sizes[j])
-        tail = b"".join(tails)
-        for u in range(part.n):
-            buf += part.row_bytes(u)
-            buf += tail
-    return ColoredCompleteGraph(sum(sizes), k, buf)
-
-
 def random_gallai_sampler(k: int, n_target: int, seed: int) -> ColoredCompleteGraph:
     """Random rainbow-triangle-free coloring of K_{n_target} with colors in 1..k.
 
-    Built by recursive substitution: a random template on 2..5 vertices using
-    at most two colors has its vertices replaced by smaller recursively built
+    Built by recursive blow-ups: a random template on 2..5 vertices using at
+    most two colors has its vertices replaced by smaller recursively built
     colorings.  Any triangle is therefore either inside one part (free by
     recursion), or touches at least two parts and repeats a color (two of its
     edges leave the same part, or all three edges use the template's two
     colors).  Deterministic for a fixed seed.
     """
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
-    if n_target < 1:
-        raise ParameterError(f"need n_target >= 1, got {n_target}")
+    check_order(n_target, k)
     rng = random.Random(seed)
 
     def build(size: int) -> ColoredCompleteGraph:
@@ -395,11 +374,8 @@ def random_gallai_sampler(k: int, n_target: int, seed: int) -> ColoredCompleteGr
             c1 = c2 = 1
         cuts = sorted(rng.sample(range(1, size), m - 1))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [size])]
-        template = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                template[i][j] = template[j][i] = rng.choice((c1, c2))
-        parts = [build(s) for s in sizes]
-        return _blowup_general(template, parts, k)
+        pairs = m * (m - 1) // 2
+        template = ColoredCompleteGraph(m, k, bytes(rng.choice((c1, c2)) for _ in range(pairs)))
+        return blowup(template, [build(s) for s in sizes])
 
     return build(n_target)

@@ -4,13 +4,21 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint
 
 import pytest
 
 import gallai_ramsey.cli
 from gallai_ramsey.cli import run
-from gallai_ramsey.colored_graph import ColoredCompleteGraph, read_graph, write_graph
+from gallai_ramsey.colored_graph import (
+    MAX_ORDER,
+    ColoredCompleteGraph,
+    ParameterError,
+    read_graph,
+    write_graph,
+)
+from gallai_ramsey.constructions import build_G82
 
 
 def _first_line(capsys) -> str:
@@ -145,6 +153,38 @@ def test_sample_deterministic(tmp_path, capsys):
     assert run(["sample", "--k", "4", "--n", "60", "--seed", "9", "--out", p2]) == 0
     capsys.readouterr()
     assert read_graph(p1) == read_graph(p2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--k", "3", "--n", "1000000000"],
+        ["sample", "--k", "3", "--n", str(MAX_ORDER + 1)],
+        ["construct", "--family", "general", "--k", "12", "--t", "5"],
+        ["construct", "--family", "general", "--k", "1000000000", "--t", "9"],
+        ["construct", "--family", "g82", "--k", "11"],
+        ["construct", "--family", "g62", "--k", "11", "--no-verify"],
+        ["construct", "--family", "two-clique", "--t", "1000000000"],
+    ],
+)
+def test_orders_past_the_cap_exit_2_before_allocating(argv, capsys):
+    # a graph at the cap alone would take 50 MB; the refusal must come first
+    tracemalloc.start()
+    try:
+        assert run(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("vertex count" in err or "color count" in err)
+
+
+def test_order_cap_covers_every_documented_order():
+    # G82(8) is the largest graph the tests, the benchmark and the README build
+    assert build_G82(8, verify=False).graph.n == 1762 <= MAX_ORDER
+    with pytest.raises(ParameterError, match="vertex count"):
+        ColoredCompleteGraph(MAX_ORDER + 1, 2)
 
 
 def test_usage_errors(capsys):

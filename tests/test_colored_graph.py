@@ -11,14 +11,12 @@ from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
     GraphParseError,
     ParameterError,
+    blowup,
     blowup_pentagon,
-    color_neighborhood,
-    edge_color,
-    induced_subgraph,
+    iter_bits,
     join,
     new_monochromatic,
     read_graph,
-    set_edge_color,
     substitute_part,
     write_graph,
 )
@@ -50,34 +48,38 @@ def test_new_monochromatic_invalid_color():
         new_monochromatic(5, 2, 0)
 
 
+def _neighborhood(g, v, c):
+    return frozenset(iter_bits(g.row(v, c)))
+
+
 def test_edge_color_read_your_write():
     g = new_monochromatic(4, 3, 1)
-    set_edge_color(g, 0, 1, 3)
-    assert edge_color(g, 0, 1) == 3
-    assert edge_color(g, 1, 0) == 3
+    g.set_color(0, 1, 3)
+    assert g.color(0, 1) == 3
+    assert g.color(1, 0) == 3
 
 
 def test_edge_color_errors():
     g = new_monochromatic(4, 2, 2)
-    assert edge_color(g, 2, 3) == 2
+    assert g.color(2, 3) == 2
     with pytest.raises(ParameterError):
-        edge_color(g, 1, 1)
+        g.color(1, 1)
     with pytest.raises(ParameterError):
-        edge_color(g, 0, 4)
+        g.color(0, 4)
     with pytest.raises(ParameterError):
-        set_edge_color(g, 0, 1, 5)
+        g.set_color(0, 1, 5)
 
 
 def test_color_neighborhood_monochromatic():
     g = new_monochromatic(5, 2, 1)
-    assert color_neighborhood(g, 0, 1).members == frozenset({1, 2, 3, 4})
-    assert color_neighborhood(g, 0, 2).members == frozenset()
+    assert _neighborhood(g, 0, 1) == frozenset({1, 2, 3, 4})
+    assert _neighborhood(g, 0, 2) == frozenset()
 
 
 def test_color_neighborhood_join_sees_other_clique():
     g = join(new_monochromatic(5, 2, 1), new_monochromatic(5, 2, 1), 2)
     for v in range(5):
-        assert color_neighborhood(g, v, 2).members == frozenset(range(5, 10))
+        assert _neighborhood(g, v, 2) == frozenset(range(5, 10))
 
 
 def test_join_two_cliques():
@@ -159,6 +161,41 @@ def test_blowup_pentagon_preserves_rainbow_freeness():
             assert has_rainbow_triangle_slow(g) is None
 
 
+@pytest.mark.property_based
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40, derandomize=True)
+def test_blowup_matches_template_and_parts(seed):
+    rng = random.Random(seed)
+    k = rng.randint(1, 4)
+    template = random_graph(rng, rng.randint(1, 5), k)
+    parts = [random_graph(rng, rng.randint(1, 4), k) for _ in range(template.n)]
+    g = blowup(template, parts)
+    where = [(i, x) for i, part in enumerate(parts) for x in range(part.n)]
+    assert g.n == len(where) and g.k == k
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            (i, x), (j, y) = where[u], where[v]
+            want = parts[i].color(x, y) if i == j else template.color(i, j)
+            assert g.color(u, v) == want
+
+
+@pytest.mark.parametrize(
+    "template, parts",
+    [
+        # template order differs from the number of parts
+        (new_monochromatic(3, 2, 1), [new_monochromatic(2, 2, 1)] * 2),
+        # template color 3 outside the parts' colors 1..2
+        (new_monochromatic(2, 3, 3), [new_monochromatic(2, 2, 1)] * 2),
+        # parts with different color counts
+        (new_monochromatic(2, 2, 1), [new_monochromatic(2, 2, 1), new_monochromatic(2, 3, 1)]),
+    ],
+    ids=["size", "template-color", "parts-k"],
+)
+def test_blowup_rejects(template, parts):
+    with pytest.raises(ParameterError):
+        blowup(template, parts)
+
+
 def test_substitute_part_identity():
     g = join(new_monochromatic(5, 4, 1), new_monochromatic(5, 4, 1), 2)
     same = substitute_part(g, range(5, 10), new_monochromatic(5, 4, 1))
@@ -177,11 +214,23 @@ def test_substitute_part_grows_order():
         assert len(cols) == 1
 
 
-def test_substitute_part_rejects_inhomogeneous():
+@pytest.mark.parametrize(
+    "block, stray",
+    [(range(5, 10), (0, 7)), (range(0, 5), (7, 2))],
+    ids=["before", "after"],
+)
+def test_substitute_part_rejects_inhomogeneous(block, stray):
+    # the stray color sits on a vertex before the block, or on one after it
     g = join(new_monochromatic(5, 4, 1), new_monochromatic(5, 4, 1), 2)
-    g.set_color(0, 7, 3)
-    with pytest.raises(ParameterError):
-        substitute_part(g, range(5, 10), new_monochromatic(5, 4, 1))
+    g.set_color(*stray, 3)
+    with pytest.raises(ParameterError, match=f"vertex {stray[0]} sees colors \\[2, 3\\]"):
+        substitute_part(g, block, new_monochromatic(5, 4, 1))
+
+
+def test_substitute_part_rejects_non_consecutive_part():
+    g = join(new_monochromatic(5, 4, 1), new_monochromatic(5, 4, 1), 2)
+    with pytest.raises(ParameterError, match="consecutive"):
+        substitute_part(g, [5, 6, 8], new_monochromatic(3, 4, 1))
 
 
 @pytest.mark.property_based
@@ -200,7 +249,8 @@ def test_substitute_part_round_trip(seed):
             c = g.color(w, block[0])
             for p in block[1:]:
                 g.set_color(w, p, c)
-    original = induced_subgraph(g, block)
+    # the block's own coloring: the start of each member's row
+    original = ColoredCompleteGraph(b - a, 3, b"".join(g.row_bytes(p)[: b - p - 1] for p in block))
     repl = random_graph(rng, len(block), 3)
     h = substitute_part(g, block, repl)
     assert h.n == g.n
@@ -277,7 +327,7 @@ def test_symmetry_and_neighborhood_partition(seed):
         for v in range(u + 1, n):
             assert g.color(u, v) == g.color(v, u)
     for v in range(n):
-        total = sum(len(color_neighborhood(g, v, c).members) for c in range(1, k + 1))
+        total = sum(len(_neighborhood(g, v, c)) for c in range(1, k + 1))
         assert total == n - 1
 
 
@@ -286,7 +336,7 @@ def _assert_rows_match_colors(g):
         for c in range(1, g.k + 1):
             members = {w for w in range(g.n) if w != v and g.color(v, w) == c}
             assert g.row(v, c) == sum(1 << w for w in members)
-            assert color_neighborhood(g, v, c).members == frozenset(members)
+            assert _neighborhood(g, v, c) == frozenset(members)
 
 
 @pytest.mark.property_based

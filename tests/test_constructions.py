@@ -1,9 +1,11 @@
 """Tests for the lower-bound construction generators."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gallai_ramsey.colored_graph import ParameterError
+from gallai_ramsey.colored_graph import ParameterError, write_graph
 from gallai_ramsey.constructions import (
     ConstructionError,
     build_G62,
@@ -15,6 +17,7 @@ from gallai_ramsey.constructions import (
     predicted_general_order,
     two_clique_witness,
 )
+from gallai_ramsey.search import random_gallai_sampler
 
 G62_ORDERS = {2: 10, 3: 25, 4: 51, 5: 127, 6: 256, 7: 637}
 G82_ORDERS = {2: 14, 3: 35, 4: 70, 5: 176, 6: 352, 7: 881, 8: 1762}
@@ -172,3 +175,69 @@ def test_general_order_formula_matches_graph(k, t):
     assert rep.graph.n == rep.predicted_order == predicted_general_order(k, t)
     assert rep.graph.k == k
     assert set(rep.graph.used_colors()) <= set(range(1, k + 1))
+
+
+# sha256 of the write_graph text, captured before the towers and the sampler
+# were moved onto the slice-assembled blow-up and splice: any change to a
+# color, an id or the file format moves them
+PINNED_SHA256 = {
+    ("g62", 2): "c1206af025482a94122469a30bb7c24ddae573e4b00a2243a4c0c57c532e6afe",
+    ("g62", 3): "bfc00606680f51ed046bf1e49f891d1408ff2cdf088ffc09dfbd7804c3bec81d",
+    ("g62", 4): "c53357dc14145ac0f4ee35eb4b980f21f9e74ddbfa42d2a6436c06c154b2150b",
+    ("g62", 5): "ca0f33017be216cb7f8a1de494c3f1a0d383d65646a8e444cdb6c64ddf8f66bf",
+    ("g62", 6): "823a9770cfa417e5559f321de7b5e58a6c3c63e0fb681770bbf4480937469d66",
+    ("g62", 7): "63061fe485f814facc5ca63f76cff6c4edbeb776bc548e3afbacd6a90feb1eeb",
+    ("g62", 8): "f304f6e0b80f991ae0c54ba0ecedbf1e525d7782b20daddabaaf844d76928c87",
+    ("g82", 2): "a51ffdd5b4e9f878376ab646ce43d2fa8d70996f68419bf72b51ee9b7718b54c",
+    ("g82", 3): "7f7859b79bd09181ac246fd869d184f7adf265bc62d7a3396e1f418ff7d4de7f",
+    ("g82", 4): "01c0ad04f7cf5fba65e2ef3266790176ac887bf13eefc596a5f46672d5adb700",
+    ("g82", 5): "0f9fe135bfd1522d16cfebc7fbcb3bdfe3506f6749fbcc108ebc2a91fb7741b7",
+    ("g82", 6): "5ef67b82b77bef28adace2900fc3a1ad55cc1eac0ce0d462e35a5fc5b5ac1d24",
+    ("g82", 7): "9de9ed6fea99cbfdbaf4703cdf8de3c0f52e42c7c81fd37e4935ece66d16fc74",
+    ("g82", 8): "ad1c311b83bfb02927a07b13e46828dbdf3997376d96ab51055d247bc56df0f4",
+    ("general", 1, 6): "45bd5218d75c0358023b8811e2801b6ba2e8edf0567a24ed025e5a0de5e10cf7",
+    ("general", 1, 7): "cd7e5477cf11822869cb0ce587b5974fe9694c19153580e7eb62d9e905dfef16",
+    ("general", 1, 9): "8a81c695a060f7cc1a396634355b4b34397deb726c8679d040baf7430ba4840a",
+    ("general", 1, 13): "d27f41d7d108538c82ee9a55a12530be3c0d6a5be660f42c23cd077f977321ea",
+    ("general", 2, 6): "c1206af025482a94122469a30bb7c24ddae573e4b00a2243a4c0c57c532e6afe",
+    ("general", 2, 7): "16a9d853418b6df5875d807632378036cf6b67569e42ed2f0bd9e6e27421b6eb",
+    ("general", 2, 9): "b78e6ae884400c329a132332ac8a68e5f52f675479a52e1ae0269990d5891a2e",
+    ("general", 2, 13): "215ed4b51b7d926669b510f4abb6d95ab48ba94122d118f5f5ddab3098d86ce4",
+    ("general", 3, 6): "bfc00606680f51ed046bf1e49f891d1408ff2cdf088ffc09dfbd7804c3bec81d",
+    ("general", 3, 7): "5eb8ef5c468ce06f5041ac58ad1a119b1de1805faba857b0137aef03ffc845fb",
+    ("general", 3, 9): "fa6ca876e9549dda32c305d2555ec65c4252f772deaabf40dfae68d741454cf3",
+    ("general", 3, 13): "02ae2d8b144cb1b852a881f496d400782057d2408205158a7f52113065d511f4",
+    ("general", 4, 6): "0dab4dfceecec87c5fd1d2b4e0183082719fc154075d50f6f9a7913c9aaa82dd",
+    ("general", 4, 7): "7cadc982d7852b0ecf9396535ad59f22f7027cb84bf8aec7bc523baad9028dc7",
+    ("general", 4, 9): "3b734e48bd0aa80f5b0e463f067ff7fd5446600697febdf404f0239625e05e09",
+    ("general", 4, 13): "3d1b670f742c2d8157dc25fa2b01e83686a37641de675a59c8eb3309d4e513e0",
+    ("general", 5, 6): "690c03e8e775d9642f83eb50ac3c3d7b556b1b65dc23b7c7ea71b8e221b43a69",
+    ("general", 5, 7): "49c07da419484fb0515da9ef4c27878d296b9f6242c24b84c9904abaeb1ee293",
+    ("general", 5, 9): "0eb292410693a8371a13d52d7c9550e026166e09771a2ed4d81e55887b9c0850",
+    ("general", 5, 13): "9cd811ef1495c13dff896630fe35d51777d004832a0c958de3e2b64ba889be7c",
+    ("sample", 1, 1, 0): "3f11ad6bbc7ecca0b2416b713dee77f1a635c00aaeaa946e14cde1c2bfae56d5",
+    ("sample", 2, 30, 1): "0636aacd771240e96f1546489a2c7d853a7de4273bc266cb2cf56cc997fe5416",
+    ("sample", 3, 60, 7): "e6aa9d1df684904370fa6c142a8498334414bcf51bdb1554bf76f5d51952923a",
+    ("sample", 4, 120, 7): "b53d5d2f2f0dfb76753a40573b1ced9540957d67d87c5e531097c8b80709386e",
+    ("sample", 6, 500, 3): "617fbf3c7fb9bd10794a1977bcab3319a17bff58ace042cf1a2f5da9c410ade5",
+    ("sample", 8, 257, 11): "849b05e07de4297e0d7f36dcf30fc941c2de47d4c9e14ab11e4de33bd39fa9f5",
+}
+
+
+def _build(key):
+    family, *args = key
+    if family == "sample":
+        return random_gallai_sampler(*args)
+    if family == "general":
+        k, t = args
+        return build_general_lower(k, t, 1, verify=False).graph
+    build = build_G62 if family == "g62" else build_G82
+    return build(*args, verify=False).graph
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SHA256), ids=lambda key: "-".join(map(str, key)))
+def test_pinned_graph_bytes(key, tmp_path):
+    path = str(tmp_path / "g.txt")
+    write_graph(_build(key), path)
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == PINNED_SHA256[key]
