@@ -15,7 +15,13 @@ operators, both assembling the new table from row slices (``row_bytes``).
 ``blowup`` replaces each template vertex by a part: ``join`` and
 ``blowup_pentagon`` only build a 2- or 5-vertex template, and the sampler
 draws its own.  ``substitute_part`` splices a replacement coloring into a
-homogeneous block of consecutive vertex ids.
+homogeneous block of consecutive vertex ids.  Both, and the file reader,
+hand the table they build to the graph uncopied.
+
+A graph file holds one row of colors per line.  For k <= 9 every color is
+one digit, so a row is written, and read back, as digits on the even bytes
+and separators on the odd bytes; any other row is parsed field by field,
+which also words every error.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ def lsb_index(mask: int) -> int:
 _BITS = b"0" * 255 + b"1" + b"0" * 255
 _ROW_BLOCK = 64  # vertex rows gathered per byte block while building bitsets
 _ASCII = bytes(range(128))
+_SCAN = 1 << 13  # table bytes range-checked per translate, so no table is held twice
+# for k <= 9 a color is one digit: these map color c to b"c" in a file and back
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+_HEAD_PEEK = 64  # header bytes looked at to refuse a large order before the file is read
 
 MAX_ORDER = 10_000
 """Most vertices a graph may have.
@@ -79,22 +90,28 @@ class ColoredCompleteGraph:
     __slots__ = ("n", "k", "_colors", "_rows")
 
     def __init__(self, n: int, k: int, colors: bytes | bytearray | None = None):
-        check_order(n, k)
-        self.n = n
-        self.k = k
+        check_order(n, k)  # before a default table is allocated
         npairs = n * (n - 1) // 2
-        if colors is None:
-            self._colors = bytearray(b"\x01" * npairs)
-        else:
-            if len(colors) != npairs:
-                raise ParameterError(
-                    f"color table has {len(colors)} entries, expected {npairs}"
-                )
-            self._colors = bytearray(colors)
-            bad = [c for c in set(self._colors) if not 1 <= c <= k]
-            if bad:
+        self._take(n, k, bytearray(b"\x01") * npairs if colors is None else bytearray(colors))
+
+    @classmethod
+    def _owning(cls, n: int, k: int, table: bytearray) -> "ColoredCompleteGraph":
+        """A graph that keeps ``table``, which this module has just built, uncopied."""
+        return cls.__new__(cls)._take(n, k, table)
+
+    def _take(self, n: int, k: int, table: bytearray) -> "ColoredCompleteGraph":
+        check_order(n, k)
+        npairs = n * (n - 1) // 2
+        if len(table) != npairs:
+            raise ParameterError(f"color table has {len(table)} entries, expected {npairs}")
+        ids = bytes(range(1, k + 1))
+        for i in range(0, npairs, _SCAN):
+            if table[i : i + _SCAN].translate(None, ids):
+                bad = [c for c in set(table) if not 1 <= c <= k]
                 raise ParameterError(f"color id {bad[0]} outside 1..{k}")
+        self.n, self.k, self._colors = n, k, table
         self._rows: dict[int, list[int]] | None = None
+        return self
 
     # -- basic access ------------------------------------------------------
 
@@ -193,12 +210,10 @@ class ColoredCompleteGraph:
 
 def new_monochromatic(n: int, k: int, c: int) -> ColoredCompleteGraph:
     """Complete graph on n vertices with every edge colored c."""
-    g = ColoredCompleteGraph(n, k)
+    check_order(n, k)
     if not 1 <= c <= k:
         raise ParameterError(f"color id {c} outside 1..{k}")
-    npairs = n * (n - 1) // 2
-    g._colors[:] = bytes([c]) * npairs
-    return g
+    return ColoredCompleteGraph._owning(n, k, bytearray([c]) * (n * (n - 1) // 2))
 
 
 def blowup(
@@ -223,7 +238,7 @@ def blowup(
         for u in range(part.n):
             buf += part.row_bytes(u)
             buf += tail
-    return ColoredCompleteGraph(sum(p.n for p in parts), k, buf)
+    return ColoredCompleteGraph._owning(sum(p.n for p in parts), k, buf)
 
 
 def join(g1: ColoredCompleteGraph, g2: ColoredCompleteGraph, c: int) -> ColoredCompleteGraph:
@@ -298,7 +313,7 @@ def substitute_part(
         buf += tail
     for w in range(b, g.n):
         buf += g.row_bytes(w)
-    return ColoredCompleteGraph(g.n - (b - a) + replacement.n, g.k, buf)
+    return ColoredCompleteGraph._owning(g.n - (b - a) + replacement.n, g.k, buf)
 
 
 # -- serialization ------------------------------------------------------------
@@ -306,10 +321,18 @@ def substitute_part(
 
 def write_graph(g: ColoredCompleteGraph, path: str) -> None:
     """Write g, one row at a time, in the text format ``read_graph`` reads back bit-exactly."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(f"{g.n} {g.k}\n")
+    seps = b" " * (g.n - 2) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(f"{g.n} {g.k}\n".encode())
         for u in range(g.n - 1):
-            fh.write(" ".join(map(str, g.row_bytes(u))) + "\n")
+            rb = g.row_bytes(u).tobytes()
+            if g.k > 9:
+                fh.write((" ".join(map(str, rb)) + "\n").encode())
+                continue
+            row = bytearray(2 * len(rb))
+            row[0::2] = rb.translate(_TO_DIGITS)
+            row[1::2] = seps[-len(rb) :]
+            fh.write(row)
 
 
 def read_graph(path: str) -> ColoredCompleteGraph:
@@ -319,10 +342,20 @@ def read_graph(path: str) -> ColoredCompleteGraph:
     edges {i-1, j} for j = i..n-1, space-separated.  A trailing newline is
     required.  Malformed input raises ``GraphParseError`` naming the line.
 
-    The file is read twice, line by line: a first pass counts the lines, so
+    A header whose order is above ``MAX_ORDER`` is refused first.  Otherwise
+    the file is read twice, line by line: a first pass counts the lines, so
     the whole text is never held at once.
     """
     with open(path, "r", encoding="ascii") as fh:
+        first = fh.buffer.readline(_HEAD_PEEK).splitlines(keepends=True)[:1]
+        try:
+            order, _ = map(int, first[0].decode("ascii").rstrip("\r\n").split(" "))
+        except (IndexError, ValueError):
+            order = 0
+        if order > MAX_ORDER and first[0][-1] in b"\r\n":  # a whole line 1 within the peek
+            raise GraphParseError(f"line 1: vertex count above {MAX_ORDER} is not supported, "
+                                  f"got {order}")
+        fh.seek(0)
         nlines, last = 0, ""
         try:
             for last in fh:
@@ -354,10 +387,18 @@ def read_graph(path: str) -> ColoredCompleteGraph:
             raise GraphParseError(
                 f"line {nlines + 1}: expected {n} lines total, got {nlines}"
             )
-        buf = bytearray()
+        check_order(n, k)  # a line 1 longer than the peek, before the table is allocated
+        buf = bytearray(n * (n - 1) // 2)
+        seps, digits = b" " * (n - 2) + b"\n", b"123456789"[:k]
         for u, line in enumerate(fh):
+            expected, pos = n - u - 1, u * (2 * n - u - 1) // 2
+            raw = line.encode()
+            evens = raw[0::2]
+            one_digit = len(raw) == 2 * expected and raw[1::2] == seps[-expected:]
+            if one_digit and not evens.translate(None, digits):
+                buf[pos : pos + expected] = evens.translate(_FROM_DIGITS)
+                continue
             fields = line[:-1].split(" ")
-            expected = n - u - 1
             if len(fields) != expected:
                 raise GraphParseError(
                     f"line {u + 2}: expected {expected} colors, got {len(fields)}"
@@ -367,7 +408,7 @@ def read_graph(path: str) -> ColoredCompleteGraph:
             except ValueError:
                 colors = None
             if colors is not None and 1 <= min(colors) and max(colors) <= k:
-                buf += bytes(colors)
+                buf[pos : pos + expected] = bytes(colors)
                 continue
             # only a faulty row gets here; this per-field loop raises its first fault
             for f in fields:
@@ -377,5 +418,4 @@ def read_graph(path: str) -> ColoredCompleteGraph:
                     raise GraphParseError(f"line {u + 2}: bad color {f!r}") from None
                 if not 1 <= c <= k:
                     raise GraphParseError(f"line {u + 2}: color id {c} outside 1..{k}")
-                buf.append(c)
-    return ColoredCompleteGraph(n, k, buf)
+    return ColoredCompleteGraph._owning(n, k, buf)

@@ -165,14 +165,16 @@ def matched_clique(
 
 
 def _splice_blocks(
-    g: ColoredCompleteGraph,
+    child: ColoredCompleteGraph,
+    level: int,
     blocks: list[int],
     spans: list[int],
     subs: list[tuple[int, ColoredCompleteGraph]],
     length: int,
 ) -> tuple[ColoredCompleteGraph, list[int], list[int]]:
-    # replace each base block [start, start+length) by its clique, the last
-    # block first so the starts still to come stay valid, and shift later offsets
+    # only this frame holds the pentagon, so each splice frees its input; each base block
+    # [start, start+length) becomes its clique, the last first so later starts stay valid
+    g = blowup_pentagon([child] * 5, level - 1, level)
     for start, rep in sorted(subs, key=lambda sr: -sr[0]):
         g = substitute_part(g, range(start, start + length), rep)
         d = rep.n - length
@@ -198,7 +200,6 @@ def _g62_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list
         half = new_monochromatic(5, k, 1)
         return join(half, half, 2), [0, 5], [0]
     child, child_blocks, child_spans = _g62_core(level - 2, k)
-    g = blowup_pentagon([child] * 5, level - 1, level)
     m = child.n
     blocks = [i * m + b for i in range(5) for b in child_blocks]
     if level == 3:
@@ -222,7 +223,7 @@ def _g62_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list
         b0 = _first_block_in(blocks, s0)
         subs = [(b0, matched_clique(6, 1, [2, level - 1, level], k))]
         spans = [s for s in spans if s != s0]
-    return _splice_blocks(g, blocks, spans, subs, 5)
+    return _splice_blocks(child, level, blocks, spans, subs, 5)
 
 
 def _g82_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list[int]]:
@@ -236,7 +237,6 @@ def _g82_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list
         half = new_monochromatic(7, k, 1)
         return join(half, half, 2), [0, 7], []
     child, child_blocks, child_spans = _g82_core(level - 2, k)
-    g = blowup_pentagon([child] * 5, level - 1, level)
     m = child.n
     blocks = [i * m + b for i in range(5) for b in child_blocks]
     if level in (3, 4):
@@ -258,7 +258,7 @@ def _g82_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list
             (b1, matched_clique(8, 1, [2, 3, 4, level - 1], k)),
         ]
         spans = [s for s in spans if s not in (s0, s1)]
-    return _splice_blocks(g, blocks, spans, subs, 7)
+    return _splice_blocks(child, level, blocks, spans, subs, 7)
 
 
 def _general_core(level: int, t: int, k: int) -> ColoredCompleteGraph:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from gallai_ramsey.colored_graph import ColoredCompleteGraph, lsb_index
+from gallai_ramsey.colored_graph import MAX_ORDER, ColoredCompleteGraph, GraphParseError, lsb_index
 from gallai_ramsey.gallai import GallaiPartition
 from gallai_ramsey.patterns import RainbowTriangle, SPattern, SWitness, matching_edges_at_least
 
@@ -270,3 +270,129 @@ def gallai_partition_reference(g: ColoredCompleteGraph, coarsest: bool = False):
         best = GallaiPartition(parts=(best.parts[0], rest), between_colors=best.between_colors,
                                part_pair_color={(0, 1): c})
     return best
+
+
+def faulty_graph_file(rng: random.Random) -> bytes:
+    """A small graph file, canonical or with 1..4 faults of the malformed-input model.
+
+    A random coloring (n in 1..12, k one of 1, 2, 8, 9, 10, 12, 255) is
+    written field by field.  Line faults come first: a field replaced by a
+    non-canonical or out-of-range one (``01``, ``+1``, an empty field that
+    leaves two spaces, 0, k+1, 10, 256), a dropped or duplicated line, a bad
+    header.  Byte faults follow: a deleted, inserted or overwritten byte
+    (non-ASCII among them), CRLF or lone CR line ends, a lost trailing newline.
+    """
+    n, k = rng.randint(1, 12), rng.choice((1, 2, 8, 9, 10, 12, 255))
+    lines = [f"{n} {k}".encode()]
+    for u in range(n - 1):
+        lines.append(" ".join(str(rng.randint(1, k)) for _ in range(n - u - 1)).encode())
+    faults = sorted(rng.randrange(9) for _ in range(rng.choice((0, 0, 1, 2, 3, 4))))
+    for fault in faults:
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        if fault == 0 and i > 0:
+            fields = lines[i].split(b" ")
+            bad = (b"01", b"+1", b"", b"0", str(k + 1).encode(), b"10", b"256")
+            fields[rng.randrange(len(fields))] = rng.choice(bad)
+            lines[i] = b" ".join(fields)
+        elif fault == 1:
+            del lines[i]
+        elif fault == 2:
+            lines.insert(i, lines[i])
+        elif fault == 3:
+            heads = ("x y", "3", "0 2", f"{n} 0", f"{n} 300", f"{n}  {k}", f"{n} {k} 1",
+                     f"{n + 1} {k}", f"{MAX_ORDER + 1} {k}", f"20000 {k}", f"{MAX_ORDER} {k}")
+            lines[0:1] = [rng.choice(heads).encode()]
+    data = b"\n".join(lines) + b"\n"
+    for fault in faults:
+        at = rng.randrange(len(data) + 1)
+        if fault == 4 and data:
+            data = data[:at] + data[at + 1 :]
+        elif fault == 5:
+            # an inserted byte, or one that overwrites the byte at ``at``
+            byte = bytes([rng.choice(b"0129 \n\r+x\x80\xff")])
+            data = data[:at] + byte + data[at + rng.randint(0, 1) :]
+        elif fault == 6:
+            data = data.replace(b"\n", rng.choice((b"\r\n", b"\r")))
+        elif fault == 7:
+            j = data.find(b"\n", at)
+            if j >= 0:
+                data = data[:j] + b"\r" + data[j + 1 :]
+        elif fault == 8:
+            data = data.rstrip(b"\n")
+    return data
+
+
+def read_graph_reference(path: str) -> ColoredCompleteGraph:
+    """The per-field graph-file reader that ``read_graph`` must agree with.
+
+    Kept unchanged as the reference for its one-digit row path: every file
+    gives the same graph or the same exception type and message, except a
+    header with an order above ``MAX_ORDER``, which ``read_graph`` refuses
+    at line 1 before reading the rest.
+
+    Format: line 1 is ``n k``; line i+1 (for i = 1..n-1) holds the colors of
+    edges {i-1, j} for j = i..n-1, space-separated.  A trailing newline is
+    required.  Malformed input raises ``GraphParseError`` naming the line.
+
+    The file is read twice, line by line: a first pass counts the lines, so
+    the whole text is never held at once.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        nlines, last = 0, ""
+        try:
+            for last in fh:
+                nlines += 1
+        except UnicodeDecodeError:
+            # name the first non-ASCII byte by its offset in the whole file,
+            # not in the decoded chunk that failed
+            fh.seek(0)
+            data = fh.buffer.read()
+            at = len(data) - len(data.lstrip(bytes(range(128))))
+            line = data.count(b"\n", 0, at) + 1
+            raise GraphParseError(f"line {line}: non-ASCII byte at file offset {at}") from None
+        if not last.endswith("\n"):
+            raise GraphParseError("line 1: missing trailing newline at end of file")
+        fh.seek(0)
+        head = fh.readline()[:-1]
+        header = head.split(" ")
+        if len(header) != 2:
+            raise GraphParseError(f"line 1: expected 'n k', got {head!r}")
+        try:
+            n, k = int(header[0]), int(header[1])
+        except ValueError:
+            raise GraphParseError(f"line 1: expected two integers, got {head!r}") from None
+        if n < 1 or k < 1:
+            raise GraphParseError(f"line 1: n and k must be positive, got {n} {k}")
+        if k > 255:
+            raise GraphParseError(f"line 1: color count above 255 is not supported, got {k}")
+        if nlines != n:
+            raise GraphParseError(
+                f"line {nlines + 1}: expected {n} lines total, got {nlines}"
+            )
+        buf = bytearray()
+        for u, line in enumerate(fh):
+            fields = line[:-1].split(" ")
+            expected = n - u - 1
+            if len(fields) != expected:
+                raise GraphParseError(
+                    f"line {u + 2}: expected {expected} colors, got {len(fields)}"
+                )
+            try:
+                colors = list(map(int, fields))
+            except ValueError:
+                colors = None
+            if colors is not None and 1 <= min(colors) and max(colors) <= k:
+                buf += bytes(colors)
+                continue
+            # only a faulty row gets here; this per-field loop raises its first fault
+            for f in fields:
+                try:
+                    c = int(f)
+                except ValueError:
+                    raise GraphParseError(f"line {u + 2}: bad color {f!r}") from None
+                if not 1 <= c <= k:
+                    raise GraphParseError(f"line {u + 2}: color id {c} outside 1..{k}")
+                buf.append(c)
+    return ColoredCompleteGraph(n, k, buf)

@@ -180,6 +180,20 @@ def test_orders_past_the_cap_exit_2_before_allocating(argv, capsys):
     assert err.startswith("error: ") and ("vertex count" in err or "color count" in err)
 
 
+def test_file_order_past_the_cap_exits_2_from_the_header(tmp_path, capsys):
+    # refused from the header alone: the 5 MB row after it is never read
+    path = tmp_path / "big.txt"
+    path.write_bytes(f"{MAX_ORDER + 1} 2\n".encode() + b"1 " * 2_500_000 + b"1\n")
+    tracemalloc.start()
+    try:
+        assert run(["partition", "--in", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().err.startswith(f"error: line 1: vertex count above {MAX_ORDER}")
+
+
 def test_order_cap_covers_every_documented_order():
     # G82(8) is the largest graph the tests, the benchmark and the README build
     assert build_G82(8, verify=False).graph.n == 1762 <= MAX_ORDER

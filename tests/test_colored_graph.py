@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import re
+import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gallai_ramsey.colored_graph import (
+    MAX_ORDER,
     ColoredCompleteGraph,
     GraphParseError,
     ParameterError,
@@ -20,7 +23,14 @@ from gallai_ramsey.colored_graph import (
     substitute_part,
     write_graph,
 )
-from helpers import has_mono_triangle_slow, has_rainbow_triangle_slow, random_graph
+from gallai_ramsey.constructions import build_G82
+from helpers import (
+    faulty_graph_file,
+    has_mono_triangle_slow,
+    has_rainbow_triangle_slow,
+    random_graph,
+    read_graph_reference,
+)
 
 
 def test_new_monochromatic_k5():
@@ -276,7 +286,8 @@ def test_round_trip_500_random_graphs(tmp_path):
     rng = random.Random(1729)
     path = str(tmp_path / "g.txt")
     for _ in range(500):
-        n, k = rng.randint(1, 40), rng.randint(1, 6)
+        # one-digit rows up to k = 9, the field-by-field format above it
+        n, k = rng.randint(1, 40), rng.choice((rng.randint(1, 9), rng.randint(10, 255)))
         g = random_graph(rng, n, k)
         write_graph(g, path)
         back = read_graph(path)
@@ -296,6 +307,7 @@ def test_round_trip_500_random_graphs(tmp_path):
         ("3 2\n1 3\n1\n", "line 2"),
         (b"3 2\n1 \xff\n1\n", "line 2: non-ASCII byte at file offset 6"),
         (b"2 300\n300\n", "line 1: color count above 255"),
+        (f"{MAX_ORDER + 1} 2\n1\n", f"line 1: vertex count above {MAX_ORDER}"),
         ("2 256\n1\n", "line 1: color count above 255"),
     ],
 )
@@ -306,6 +318,96 @@ def test_parse_errors_carry_line_numbers(tmp_path, content, fragment):
     with pytest.raises(GraphParseError) as err:
         read_graph(path)
     assert fragment in str(err.value)
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # the exception's type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _assert_reads_like_reference(data, path):
+    with open(path, "wb") as fh:
+        fh.write(data)
+    got, want = _read_outcome(read_graph, path), _read_outcome(read_graph_reference, path)
+    # the one intended difference: a header "n k" with n above the cap is
+    # refused at line 1, whatever else the file holds
+    head = re.match(rb"([^\r\n]*)[\r\n]", data)
+    try:
+        order, _ = map(int, head.group(1).decode("ascii").split(" "))
+    except (AttributeError, ValueError):
+        order = 0
+    if order > MAX_ORDER:
+        want = (GraphParseError,
+                f"line 1: vertex count above {MAX_ORDER} is not supported, got {order}")
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"3 2\n01 2\n1\n",  # valid but not one digit a field
+        b"3 2\n+1 2\n1\n",
+        b"3 2\n1  2\n1\n",  # two spaces
+        b"3 2\n1 2 \n1\n",
+        b"3 2\n1x2\n1\n",  # one-digit length, a bad separator
+        b"3 9\n9 0\n1\n",
+        b"3 9\n9 10\n1\n",
+        b"3 8\n9 1\n1\n",
+        b"3 12\n10 12\n13\n",
+        b"3 12\n1 2\n9\n",  # one-digit rows under k >= 10
+        b"3 2\r\n1 2\r1\r\n",
+        b"2 9\n9\n",
+        b"1 9\n",
+    ],
+)
+def test_reader_matches_reference_on_edge_rows(data, tmp_path):
+    _assert_reads_like_reference(data, str(tmp_path / "g.txt"))
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_reader_matches_reference_reader(seed, tmp_path):
+    _assert_reads_like_reference(faulty_graph_file(random.Random(seed)), str(tmp_path / "g.txt"))
+
+
+@pytest.mark.parametrize("offset", [0, 65535, 65536, -1])
+@pytest.mark.parametrize("bad", [0, 7])
+def test_constructor_names_an_out_of_range_color(offset, bad):
+    # the table is range-checked in slices; a bad color is found at and
+    # around a slice edge and at either end, and named as before
+    n, k = 400, 6
+    table = bytearray(b"\x01") * (n * (n - 1) // 2)
+    table[offset] = bad
+    with pytest.raises(ParameterError, match=f"^color id {bad} outside 1..{k}$"):
+        ColoredCompleteGraph(n, k, table)
+
+
+def test_constructor_and_copy_do_not_share_the_table():
+    source = bytearray([1, 2, 1])
+    g = ColoredCompleteGraph(3, 2, source)
+    source[0] = 2
+    assert g.color(0, 1) == 1
+    h = g.copy()
+    h.set_color(0, 1, 2)
+    assert g.color(0, 1) == 1
+    g.set_color(1, 2, 2)
+    assert h.color(1, 2) == 1
+
+
+def test_tower_build_holds_no_table_twice():
+    # the last splice holds its input and its output table; a copy in the
+    # constructor or a frame keeping the pentagon makes it four tables
+    tracemalloc.start()
+    try:
+        g = build_G82(6, verify=False).graph
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (g.n * (g.n - 1) // 2)
 
 
 def test_parse_valid_triangle_file(tmp_path):

@@ -221,6 +221,14 @@ PINNED_SHA256 = {
     ("sample", 4, 120, 7): "b53d5d2f2f0dfb76753a40573b1ced9540957d67d87c5e531097c8b80709386e",
     ("sample", 6, 500, 3): "617fbf3c7fb9bd10794a1977bcab3319a17bff58ace042cf1a2f5da9c410ade5",
     ("sample", 8, 257, 11): "849b05e07de4297e0d7f36dcf30fc941c2de47d4c9e14ab11e4de33bd39fa9f5",
+    # one-digit rows at k = 9, multi-digit fields from k = 10 on, and n = 1, 2
+    ("sample", 9, 200, 5): "f7bdd9866b474c8e531f5287ba543dcff1be715491d8fef2303f5e5e391c1c9e",
+    ("sample", 10, 200, 5): "d01397b52c8860fee7f56dcdbfde6c0fb84b75d0661e13e1c74f6cd734193d8a",
+    ("sample", 12, 300, 1): "b4d9db1bc6539655550e21e59b58b3e3321e035fd6a2bbfce5eebf0484cc058d",
+    ("sample", 255, 300, 2): "7d2a511e78d11030a0ecb9824962f6c867365de59f87a47dbfd6915035facc6a",
+    ("sample", 12, 1, 0): "8f4f6b55e3c480251f7579fdb93faa642d7ba89292181e94fdd82fc879f29123",
+    ("sample", 9, 2, 0): "9dfc1caacce9f01efca18556f82346a2150f8412add5d06513caf4fc16bb1ba9",
+    ("sample", 255, 2, 1): "70394f3b93fb74e6b18f05838d33a41dce1ff7dabacedb7f652bbc23a3862426",
 }
 
 
