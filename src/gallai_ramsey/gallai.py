@@ -254,7 +254,9 @@ def find_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
 
 
 def _obstruction(g: ColoredCompleteGraph) -> RainbowTriangle:
-    tri = find_rainbow_triangle(g)
+    # no candidate split the whole vertex set, which is the Gallai tree's
+    # root test, so the tree would only repeat it before this same scan
+    tri = scan_rainbow_triangle(g)
     if tri is None:
         raise AssertionError("no partition and no rainbow triangle; unreachable")
     return tri
@@ -305,7 +307,13 @@ def coarsest_partition_over_pairs(
 
 
 def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> PartitionCheck:
-    """Re-check the partition invariants by direct edge scans."""
+    """Re-check the partition invariants.
+
+    Each part pair is tested on the rows of its recorded color: a member u of
+    part i sees part j in that color alone iff part j's mask lies inside u's
+    row.  The first violation of a pair is the first (u, v) in the parts'
+    own tuple order, as an edge-by-edge scan would name it.
+    """
     seen: set[int] = set()
     for part in p.parts:
         if not part:
@@ -330,26 +338,27 @@ def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Part
         problems.append(
             f"recorded pair color {bad_recorded[0]} missing from between_colors"
         )
+    masks = [sum(1 << v for v in part) for part in p.parts]
     for i in range(len(p.parts)):
         for j in range(i + 1, len(p.parts)):
             recorded = p.part_pair_color.get((i, j))
             if recorded is None:
                 problems.append(f"no recorded color for part pair ({i}, {j})")
                 continue
+            # a color outside 1..k has no rows: every edge of the pair disagrees
+            rows = g.rows(recorded) if 1 <= recorded <= g.k else None
             for u in p.parts[i]:
-                for v in p.parts[j]:
-                    c = g.color(u, v)
-                    if c != recorded:
-                        problems.append(
-                            f"edge ({u}, {v}) has color {c}, part pair ({i}, {j}) "
-                            f"is recorded as color {recorded}"
-                        )
-                        if first_violation is None:
-                            first_violation = (u, v)
-                        break
-                else:
-                    continue
-                break
+                bad = masks[j] if rows is None else masks[j] & ~rows[u]
+                if bad:
+                    # name the first such v in part j's own order
+                    v = next(v for v in p.parts[j] if bad >> v & 1)
+                    problems.append(
+                        f"edge ({u}, {v}) has color {g.color(u, v)}, part pair ({i}, {j}) "
+                        f"is recorded as color {recorded}"
+                    )
+                    if first_violation is None:
+                        first_violation = (u, v)
+                    break
     return PartitionCheck(
         ok=not problems, problems=tuple(problems), first_violation=first_violation
     )

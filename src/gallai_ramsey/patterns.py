@@ -15,18 +15,20 @@ as pendant leaves.  ``brute_force_contains_S`` re-decides containment by
 explicit embedding enumeration and exists solely to cross-check the fast
 detector; the equivalence is asserted by tests, not assumed.
 
-Maximum matching on general graphs is computed with blossom contraction, so
-odd components are handled exactly.  Threshold queries ("is there a matching
-of size r?") use a greedy maximal matching plus a kernel: if the greedy stalls
-below r, every edge meets one of its at most 2(r-1) endpoints, and keeping 2r
-neighbors per endpoint preserves the existence of any r-matching.
+The matching test is one routine, ``disjoint_edges``, which the exhaustive
+search shares.  It works on bitset rows indexed by vertex id and returns the
+edges it finds.  A greedy maximal matching answers most calls; if it stalls
+below r, every edge meets one of its at most 2(r-1) endpoints.  r = 2 then
+has a linear test.  Other r branch on the kernel of those endpoints plus 2r
+neighbors of each, which keeps some r-matching if one exists, and past a
+step cap the blossom algorithm (odd cycles contracted) answers exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Optional
+from itertools import combinations, islice
+from typing import Optional
 
 from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
@@ -138,7 +140,7 @@ def scan_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
     return None
 
 
-# -- maximum matching ---------------------------------------------------------
+# -- disjoint edges -----------------------------------------------------------
 
 
 def _blossom_mates(adj: list[int]) -> list[int]:
@@ -149,15 +151,6 @@ def _blossom_mates(adj: list[int]) -> list[int]:
     """
     n = len(adj)
     mate = [-1] * n
-    for v in range(n):
-        if mate[v] == -1:
-            cand = adj[v]
-            while cand:
-                u = lsb_index(cand)
-                cand &= cand - 1
-                if mate[u] == -1:
-                    mate[v], mate[u] = u, v
-                    break
 
     def lca(a: int, b: int) -> int:
         seen = set()
@@ -228,89 +221,128 @@ def _blossom_mates(adj: list[int]) -> list[int]:
     return mate
 
 
-def max_matching_size(
-    vertices: Iterable[int], g: ColoredCompleteGraph, c: int
-) -> int:
-    """Size of a maximum matching in the c-colored subgraph induced on `vertices`."""
-    vs = sorted(set(vertices))
-    if any(v < 0 or v >= g.n for v in vs):
-        raise ParameterError(f"vertices out of range 0..{g.n - 1}")
-    if len(vs) < 2:
-        return 0
-    local = {v: i for i, v in enumerate(vs)}
-    member_mask = 0
-    for v in vs:
-        member_mask |= 1 << v
-    rows = g.rows(c)
-    adj = []
-    for v in vs:
-        sel = rows[v] & member_mask
-        m = 0
-        while sel:
-            w = lsb_index(sel)
-            sel &= sel - 1
-            m |= 1 << local[w]
-        adj.append(m)
-    mate = _blossom_mates(adj)
-    return sum(1 for i, m in enumerate(mate) if m > i)
+def _two_edges(rows: list[int], members: int) -> Optional[tuple[int, int]]:
+    """``disjoint_edges(rows, members, 2)`` without the size check.
 
-
-def matching_edges_at_least(
-    row_of: Callable[[int], int], members: int, need: int
-) -> Optional[list[tuple[int, int]]]:
-    """`need` disjoint edges inside the vertex bitset `members`, or None.
-
-    ``row_of(v)`` must give v's adjacency bitset.  A greedy maximal matching
-    answers most queries; when it stalls below `need`, the kernel around its
-    endpoints is solved exactly with the blossom algorithm.
+    A greedy maximal matching either finds two edges, or stalls at one edge
+    ab; then every edge meets a or b, and two disjoint ones exist iff a and b
+    have distinct further neighbors.
     """
-    if need <= 0:
-        return []
-    edges: list[tuple[int, int]] = []
     avail = members
     while avail:
-        v = lsb_index(avail)
-        avail &= avail - 1
-        cand = row_of(v) & avail
+        a = avail & -avail
+        avail ^= a
+        cand = rows[a.bit_length() - 1] & avail
         if cand:
-            w = lsb_index(cand)
-            avail &= ~(1 << w)
-            edges.append((v, w))
-            if len(edges) >= need:
-                return edges
-    # greedy matching is maximal here, so every edge meets one of its endpoints
-    if 2 * len(edges) < need:
+            b = cand & -cand
+            avail ^= b
+            break
+    else:
         return None
-    kept = set()
-    for e in edges:
-        kept.update(e)
-    for s in list(kept):
-        nb = row_of(s) & members
-        took = 0
-        while nb and took < 2 * need:
-            w = lsb_index(nb)
-            nb &= nb - 1
-            kept.add(w)
-            took += 1
-    vs = sorted(kept)
+    while avail:
+        low = avail & -avail
+        avail ^= low
+        cand = rows[low.bit_length() - 1] & avail
+        if cand:
+            return a | b, low | cand & -cand
+    na = rows[a.bit_length() - 1] & members ^ b
+    nb = rows[b.bit_length() - 1] & members ^ a
+    if not na or not nb:
+        return None
+    x = na & -na
+    y = nb & ~x
+    if y:
+        return a | x, b | (y & -y)
+    x2 = na ^ x  # b's only further neighbor is x, so a needs another one
+    return (a | (x2 & -x2), b | x) if x2 else None
+
+
+def disjoint_edges(
+    rows: list[int], members: int, need: int
+) -> Optional[tuple[int, ...]]:
+    """`need` disjoint edges inside the vertex bitset `members`, or None.
+
+    ``rows[u]`` is u's adjacency bitset, indexed by vertex id; each edge is
+    returned as the bitset of its two ends, and need <= 0 gives ``()``.  A
+    greedy maximal matching answers most calls.  When it stalls below `need`,
+    every edge meets one of its endpoints: need=2 then has a linear test, and
+    other thresholds branch on the kernel of those endpoints plus at most
+    2*need neighbors of each, which keeps some `need`-matching if one exists.
+    With v the lowest vertex left, nu(M) >= k iff nu(M - v) >= k or
+    nu(M - v - w) >= k - 1 for some neighbor w of v in M; the first descent
+    of that recursion is the greedy itself, so on at most 2*need + 1 members,
+    where the kernel is no smaller, the branching runs alone.  It is
+    exponential in the worst case (K_{k-1, m}), so after |kernel|^2 steps the
+    blossom algorithm answers instead.
+    """
+    if need <= 0:
+        return ()
+    size = members.bit_count()
+    if size < 2 * need:
+        return None
+    if need == 2:
+        return _two_edges(rows, members)
+    kernel = members
+    if size > 2 * need + 1:  # otherwise no vertex has more than 2*need neighbors
+        edges = []
+        avail = members
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            cand = rows[low.bit_length() - 1] & avail
+            if cand:
+                w = cand & -cand
+                avail ^= w
+                edges.append(low | w)
+                if len(edges) == need:
+                    return tuple(edges)
+        if 2 * len(edges) < need:
+            return None
+        kernel = ends = sum(edges)
+        for s in iter_bits(ends):
+            nb = rows[s] & members
+            for _ in range(2 * need):
+                low = nb & -nb
+                kernel |= low
+                nb ^= low
+        size = kernel.bit_count()
+    steps = size * size
+
+    def branch(m: int, k: int) -> Optional[tuple[int, ...]]:
+        nonlocal steps
+        while steps > 0:
+            steps -= 1
+            low = m & -m
+            m ^= low
+            nb = rows[low.bit_length() - 1] & m
+            if nb:
+                if k == 1:
+                    return (low | nb & -nb,)
+                while nb:
+                    w = nb & -nb
+                    nb ^= w
+                    found = branch(m ^ w, k - 1)
+                    if found:
+                        return found + (low | w,)
+            if m.bit_count() < 2 * k:
+                return None
+        return None
+
+    found = branch(kernel, need)
+    if found or steps > 0:
+        return found
+    # past the cap: blossom on the kernel, relabeled to ids 0..|kernel|-1
+    vs = list(iter_bits(kernel))
     local = {v: i for i, v in enumerate(vs)}
-    kept_mask = 0
-    for v in vs:
-        kept_mask |= 1 << v
     adj = []
     for v in vs:
-        sel = row_of(v) & kept_mask
         m = 0
-        while sel:
-            w = lsb_index(sel)
-            sel &= sel - 1
+        for w in iter_bits(rows[v] & kernel):
             m |= 1 << local[w]
         adj.append(m)
-    mate = _blossom_mates(adj)
-    found = sorted((i, m) for i, m in enumerate(mate) if m > i)
-    if len(found) < need:
-        return None
-    return [(vs[a], vs[b]) for a, b in found[:need]]
+    mates = _blossom_mates(adj)
+    edges = tuple(1 << vs[i] | 1 << vs[j] for i, j in enumerate(mates) if j > i)
+    return edges[:need] if len(edges) >= need else None
 
 
 # -- pattern detectors ---------------------------------------------------------
@@ -330,30 +362,20 @@ def find_mono_S(
     if n < t:
         return None
     rows = g.rows(c)
-    row_of = rows.__getitem__
     failed: set[int] = set()
     for v in range(n):
         nb = rows[v]
         if nb.bit_count() < t - 1 or nb in failed:
             continue
-        edges = matching_edges_at_least(row_of, nb, r)
+        edges = disjoint_edges(rows, nb, r)
         if edges is None:
             failed.add(nb)
             continue
-        edges = sorted(tuple(sorted(e)) for e in edges)
-        used = 0
-        for a, b in edges:
-            used |= (1 << a) | (1 << b)
-        pendants = []
-        rest = nb & ~used
-        while len(pendants) < p.pendant_count:
-            w = lsb_index(rest)
-            rest &= rest - 1
-            pendants.append(w)
+        rest = nb & ~sum(edges)  # the edges are disjoint, so their sum is their union
         return SWitness(
             center=v,
-            triangle_edges=tuple(edges),
-            pendants=tuple(pendants),
+            triangle_edges=tuple(sorted((lsb_index(e), e.bit_length() - 1) for e in edges)),
+            pendants=tuple(islice(iter_bits(rest), p.pendant_count)),
             color=c,
         )
     return None

@@ -13,13 +13,12 @@ id; stepping to the next color vector flips one contiguous block of the new
 vertex's edges.
 
 A center holds S_t^r when its color class gives it at least t-1 neighbors
-spanning r disjoint edges.  ``_nu_at_least`` tests the matching on the rows
-as they are, with no relabeling: need=2 has a linear test, other thresholds
-an exact branching test capped at |M|^2 steps (a bound set by the input
-alone) with the blossom algorithm past the cap.  Either way the answer is
-exact, so the pruning, the node counts and the witnesses do not depend on
-which route answered, and the cap keeps the branching's exponential worst
-case from stalling the search between two deadline checks.
+spanning r disjoint edges, which ``patterns.disjoint_edges`` decides on the
+rows as they are, with no relabeling (at r = 2 its linear test is bound
+directly).  Its answer is exact whichever stage gives it, so the pruning, the
+node counts and the witnesses do not depend on the stage, and its step cap
+keeps the branching's exponential worst case from stalling the search
+between two deadline checks.
 
 Symmetry breaking is deliberately lightweight and loses no outcomes: swapping
 the two colors and permuting vertices preserve pattern-freeness, so edge
@@ -34,7 +33,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError, blowup, check_order
@@ -43,7 +41,8 @@ from gallai_ramsey.patterns import (
     RainbowTriangle,
     SPattern,
     SWitness,
-    _blossom_mates,
+    _two_edges,
+    disjoint_edges,
     find_mono_S,
 )
 
@@ -72,85 +71,6 @@ class SearchOutcome:
     elapsed: float
 
 
-class _StepCap(Exception):
-    """The matching recursion used up its step allowance."""
-
-
-def _two_disjoint_edges(rows: list[int], members: int) -> bool:
-    """Does the subgraph induced on the `members` bitset have 2 disjoint edges?
-
-    A greedy maximal matching either finds two edges, or stalls at one edge
-    ab; then every edge meets a or b, and two disjoint ones exist iff a and b
-    have distinct further neighbors.
-    """
-    a = b = 0
-    avail = members
-    while avail:
-        low = avail & -avail
-        avail ^= low
-        cand = rows[low.bit_length() - 1] & avail
-        if cand:
-            if a:
-                return True
-            a = low
-            b = cand & -cand
-            avail ^= b
-    if not a:
-        return False
-    na = rows[a.bit_length() - 1] & members ^ b
-    nb = rows[b.bit_length() - 1] & members ^ a
-    union = na | nb
-    return bool(na) and bool(nb) and union & (union - 1) != 0
-
-
-def _nu_at_least(rows: list[int], members: int, need: int) -> bool:
-    """Does the subgraph induced on the `members` bitset have `need` disjoint edges?
-
-    ``rows[u]`` is u's adjacency bitset, indexed by vertex id.  need=2 has its
-    own linear test.  Otherwise, with v the lowest member, nu(M) >= k iff
-    nu(M - v) >= k or nu(M - v - w) >= k - 1 for some neighbor w of v in M,
-    and a branch dies once |M| < 2k.  That recursion is exponential in the
-    worst case (K_{k-1, m}), so after |M|^2 steps the blossom algorithm
-    answers instead.
-    """
-    if need <= 0:
-        return True
-    size = members.bit_count()
-    if size < 2 * need:
-        return False
-    if need == 2:
-        return _two_disjoint_edges(rows, members)
-    steps = size * size
-
-    def has(m: int, k: int) -> bool:
-        nonlocal steps
-        while True:
-            steps -= 1
-            if steps < 0:
-                raise _StepCap
-            low = m & -m
-            m ^= low
-            nb = rows[low.bit_length() - 1] & m
-            if nb:
-                if k == 1:
-                    return True
-                while nb:
-                    w = nb & -nb
-                    nb ^= w
-                    if has(m ^ w, k - 1):
-                        return True
-            if m.bit_count() < 2 * k:
-                return False
-
-    try:
-        return has(members, need)
-    except _StepCap:
-        mates = _blossom_mates(
-            [rows[u] & members if members >> u & 1 else 0 for u in range(members.bit_length())]
-        )
-        return sum(1 for u, w in enumerate(mates) if w > u) >= need
-
-
 def exhaustive_witness_search(
     n: int,
     p: SPattern,
@@ -176,7 +96,7 @@ def exhaustive_witness_search(
         budget = SearchBudget()
     min_deg, r = p.t - 1, p.r
     # every center tested has min_deg >= 2r neighbors, so need=2 needs no size check
-    holds = _two_disjoint_edges if r == 2 else partial(_nu_at_least, need=r)
+    holds = _two_edges if r == 2 else lambda rc, mu: disjoint_edges(rc, mu, r)
     max_nodes = budget.max_nodes
     start = time.perf_counter()
     deadline = start + budget.max_time
@@ -191,7 +111,7 @@ def exhaustive_witness_search(
             low = centers & -centers
             centers ^= low
             mu = rc[low.bit_length() - 1]
-            if mu.bit_count() >= min_deg and holds(rc, mu):
+            if mu.bit_count() >= min_deg and holds(rc, mu) is not None:
                 return True
         return False
 

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import random
 
-from gallai_ramsey.colored_graph import MAX_ORDER, ColoredCompleteGraph, GraphParseError, lsb_index
-from gallai_ramsey.gallai import GallaiPartition
-from gallai_ramsey.patterns import RainbowTriangle, SPattern, SWitness, matching_edges_at_least
+from gallai_ramsey.colored_graph import (
+    MAX_ORDER,
+    ColoredCompleteGraph,
+    GraphParseError,
+    ParameterError,
+    lsb_index,
+)
+from gallai_ramsey.gallai import GallaiPartition, PartitionCheck
+from gallai_ramsey.patterns import RainbowTriangle, SPattern, SWitness, _blossom_mates, disjoint_edges
 
 
 def random_graph(rng: random.Random, n: int, k: int) -> ColoredCompleteGraph:
@@ -129,6 +135,26 @@ def brute_max_matching(n: int, edges: list[tuple[int, int]]) -> int:
     return best
 
 
+def check_disjoint_edges(rows: list[int], members: int, need: int, edges: tuple[int, ...]) -> None:
+    """Re-validate an answer of ``disjoint_edges``: `need` edges (none for
+    need <= 0), pairwise disjoint, inside `members` and edges of `rows`."""
+    assert len(edges) == max(need, 0)
+    used = 0
+    for e in edges:
+        assert e.bit_count() == 2 and e & members == e and not e & used
+        assert rows[lsb_index(e)] >> (e.bit_length() - 1) & 1
+        used |= e
+
+
+def blossom_nu(rows: list[int], members: int) -> int:
+    """Maximum matching size inside `members` by the blossom algorithm on rows
+    indexed by vertex id, with no kernel and no relabeling."""
+    mates = _blossom_mates(
+        [rows[u] & members if members >> u & 1 else 0 for u in range(members.bit_length())]
+    )
+    return sum(1 for u, w in enumerate(mates) if w > u)
+
+
 def find_mono_S_reference(g: ColoredCompleteGraph, c: int, p: SPattern) -> SWitness | None:
     """``find_mono_S`` without its memo: every center of high enough degree
     runs the matching test."""
@@ -140,20 +166,21 @@ def find_mono_S_reference(g: ColoredCompleteGraph, c: int, p: SPattern) -> SWitn
         nb = rows[v]
         if nb.bit_count() < t - 1:
             continue
-        edges = matching_edges_at_least(rows.__getitem__, nb, r)
+        edges = disjoint_edges(rows, nb, r)
         if edges is None:
             continue
-        edges = sorted(tuple(sorted(e)) for e in edges)
+        check_disjoint_edges(rows, nb, r, edges)
         used = 0
-        for a, b in edges:
-            used |= (1 << a) | (1 << b)
+        for e in edges:
+            used |= e
         pendants = []
         rest = nb & ~used
         while len(pendants) < p.pendant_count:
             w = lsb_index(rest)
             rest &= rest - 1
             pendants.append(w)
-        return SWitness(center=v, triangle_edges=tuple(edges), pendants=tuple(pendants), color=c)
+        triangle_edges = tuple(sorted((lsb_index(e), e.bit_length() - 1) for e in edges))
+        return SWitness(center=v, triangle_edges=triangle_edges, pendants=tuple(pendants), color=c)
     return None
 
 
@@ -270,6 +297,58 @@ def gallai_partition_reference(g: ColoredCompleteGraph, coarsest: bool = False):
         best = GallaiPartition(parts=(best.parts[0], rest), between_colors=best.between_colors,
                                part_pair_color={(0, 1): c})
     return best
+
+
+def verify_gallai_partition_reference(g: ColoredCompleteGraph, p: GallaiPartition) -> PartitionCheck:
+    """The edge-by-edge ``verify_gallai_partition`` that the row-based one
+    must agree with: same exceptions, problems and first violation."""
+    seen: set[int] = set()
+    for part in p.parts:
+        if not part:
+            raise ParameterError("empty part")
+        for v in part:
+            if v in seen:
+                raise ParameterError(f"vertex {v} appears in two parts")
+            seen.add(v)
+    if seen != set(range(g.n)):
+        raise ParameterError("parts do not cover the vertex set exactly")
+
+    problems: list[str] = []
+    first_violation: tuple[int, int] | None = None
+    if len(p.parts) < 2:
+        problems.append("partition is trivial (fewer than 2 parts)")
+    if len(p.between_colors) > 2:
+        problems.append(
+            f"{len(p.between_colors)} between-part colors, at most 2 allowed"
+        )
+    bad_recorded = [c for c in p.part_pair_color.values() if c not in p.between_colors]
+    if bad_recorded:
+        problems.append(
+            f"recorded pair color {bad_recorded[0]} missing from between_colors"
+        )
+    for i in range(len(p.parts)):
+        for j in range(i + 1, len(p.parts)):
+            recorded = p.part_pair_color.get((i, j))
+            if recorded is None:
+                problems.append(f"no recorded color for part pair ({i}, {j})")
+                continue
+            for u in p.parts[i]:
+                for v in p.parts[j]:
+                    c = g.color(u, v)
+                    if c != recorded:
+                        problems.append(
+                            f"edge ({u}, {v}) has color {c}, part pair ({i}, {j}) "
+                            f"is recorded as color {recorded}"
+                        )
+                        if first_violation is None:
+                            first_violation = (u, v)
+                        break
+                else:
+                    continue
+                break
+    return PartitionCheck(
+        ok=not problems, problems=tuple(problems), first_violation=first_violation
+    )
 
 
 def faulty_graph_file(rng: random.Random) -> bytes:

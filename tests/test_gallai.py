@@ -27,7 +27,12 @@ from gallai_ramsey.gallai import (
 from gallai_ramsey.patterns import RainbowTriangle, scan_rainbow_triangle
 from gallai_ramsey.search import random_gallai_sampler
 
-from helpers import gallai_partition_reference, rainbow_free_3colorings, random_graph
+from helpers import (
+    gallai_partition_reference,
+    rainbow_free_3colorings,
+    random_graph,
+    verify_gallai_partition_reference,
+)
 
 # 2-coloring of K_5 by the five-cycle: edges (i, i+1 mod 5) get color 1,
 # diagonals color 2.  Both color classes are connected.
@@ -176,6 +181,39 @@ def test_verify_flags_wrong_recorded_color():
     )
     check = verify_gallai_partition(g, p)
     assert not check.ok
+
+
+@pytest.mark.property_based
+@given(
+    seed=st.integers(0, 10**6),
+    faults=st.lists(st.sampled_from(("mixed", "recorded", "missing", "unsorted")), max_size=4),
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_verify_matches_reference_on_bad_partitions(seed, faults):
+    # a valid partition of a Gallai coloring, then faults: an edge between
+    # two parts recolored, a recorded pair color changed (possibly outside
+    # 1..k), a pair color dropped, the vertices of every part reordered
+    rng = random.Random(seed)
+    k = rng.randint(1, 5)
+    g = random_gallai_sampler(k, rng.randint(2, 40), seed)
+    p = find_gallai_partition(g)
+    parts = [list(part) for part in p.parts]
+    pair_color = dict(p.part_pair_color)
+    for fault in faults:
+        if fault == "mixed" and k > 1:
+            i, j = rng.sample(range(len(parts)), 2)
+            u, v = rng.choice(parts[i]), rng.choice(parts[j])
+            g.set_color(u, v, rng.choice([c for c in range(1, k + 1) if c != g.color(u, v)]))
+        elif fault == "recorded" and pair_color:
+            key = rng.choice(sorted(pair_color))
+            pair_color[key] = rng.choice((0, k + 1, *range(1, k + 1)))
+        elif fault == "missing" and pair_color:
+            del pair_color[rng.choice(sorted(pair_color))]
+        elif fault == "unsorted":
+            for part in parts:
+                rng.shuffle(part)
+    bad = GallaiPartition(tuple(map(tuple, parts)), p.between_colors, pair_color)
+    assert verify_gallai_partition(g, bad) == verify_gallai_partition_reference(g, bad)
 
 
 def test_reduced_graph_representatives():

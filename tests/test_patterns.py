@@ -23,13 +23,15 @@ from gallai_ramsey.gallai import find_rainbow_triangle
 from gallai_ramsey.patterns import (
     SPattern,
     brute_force_contains_S,
+    disjoint_edges,
     find_mono_S,
     find_mono_fan,
-    max_matching_size,
     scan_rainbow_triangle,
 )
 from helpers import (
+    blossom_nu,
     brute_max_matching,
+    check_disjoint_edges,
     find_mono_S_reference,
     has_rainbow_triangle_slow,
     random_blowup,
@@ -101,34 +103,46 @@ def _graph_with_colored_edges(n, k, c, edges, other):
     return ColoredCompleteGraph(n, k, buf)
 
 
+def _nu(rows, members):
+    """Largest need that ``disjoint_edges`` answers with edges, each answer
+    re-validated; the next need up must give None."""
+    need = 0
+    while (edges := disjoint_edges(rows, members, need + 1)) is not None:
+        need += 1
+        check_disjoint_edges(rows, members, need, edges)
+    return need
+
+
 def test_matching_perfect_on_k4():
     g = new_monochromatic(4, 2, 1)
-    assert max_matching_size(range(4), g, 1) == 2
-    assert max_matching_size(range(4), g, 2) == 0
+    assert _nu(g.rows(1), 0b1111) == 2
+    assert _nu(g.rows(2), 0b1111) == 0
+    assert disjoint_edges(g.rows(2), 0b1111, 0) == ()
 
 
 def test_matching_five_cycle():
     cycle = [(i, (i + 1) % 5) for i in range(5)]
     g = _graph_with_colored_edges(5, 2, 1, cycle, 2)
-    assert max_matching_size(range(5), g, 1) == 2
+    assert _nu(g.rows(1), 0b11111) == 2
 
 
 def test_matching_needs_blossom_swap():
     # triangle with a tail: greedy from the tail must unwind through the odd cycle
     edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
     g = _graph_with_colored_edges(5, 2, 1, edges, 2)
-    assert max_matching_size(range(5), g, 1) == 2
+    assert _nu(g.rows(1), 0b11111) == 2
     # two triangles joined by an edge: perfect matching exists
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]
     g = _graph_with_colored_edges(6, 2, 1, edges, 2)
-    assert max_matching_size(range(6), g, 1) == 3
+    assert _nu(g.rows(1), 0b111111) == 3
 
 
 def test_matching_respects_vertex_subset():
     g = new_monochromatic(6, 2, 1)
-    assert max_matching_size([0, 2, 4], g, 1) == 1
-    assert max_matching_size([0], g, 1) == 0
-    assert max_matching_size([], g, 1) == 0
+    assert _nu(g.rows(1), 0b10101) == 1
+    assert _nu(g.rows(1), 0b1) == 0
+    assert _nu(g.rows(1), 0) == 0
+    assert disjoint_edges(g.rows(1), 0, -1) == ()
 
 
 @pytest.mark.property_based
@@ -142,7 +156,8 @@ def test_matching_agrees_with_exhaustive_enumeration():
         edges = [
             (a, b) for a, b in combinations(members, 2) if g.color(a, b) == 1
         ]
-        assert max_matching_size(members, g, 1) == brute_max_matching(n, edges)
+        mask = sum(1 << v for v in members)
+        assert _nu(g.rows(1), mask) == brute_max_matching(n, edges) == blossom_nu(g.rows(1), mask)
 
 
 # -- pattern detector vs embedding oracle --------------------------------------

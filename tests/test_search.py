@@ -6,24 +6,19 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import gallai_ramsey.search
+import gallai_ramsey.patterns
 from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError, write_graph
 from gallai_ramsey.constructions import build_G62, two_clique_witness
 from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition, find_rainbow_triangle
-from gallai_ramsey.patterns import (
-    SPattern,
-    brute_force_contains_S,
-    matching_edges_at_least,
-    max_matching_size,
-)
+from gallai_ramsey.patterns import SPattern, brute_force_contains_S, disjoint_edges
 from gallai_ramsey.search import (
     SearchBudget,
-    _nu_at_least,
     all_pattern_free_colorings,
     exhaustive_witness_search,
     random_gallai_sampler,
     verify_construction,
 )
+from helpers import blossom_nu, brute_max_matching, check_disjoint_edges
 
 K3 = SPattern(3, 1)
 
@@ -79,6 +74,26 @@ def test_pinned_witnesses(n, t, r, tmp_path):
         assert not brute_force_contains_S(out.witness, c, SPattern(t, r))
 
 
+# S_t^0 is the star K_{1,t-1}, and R(K_{1,s}, K_{1,s}) is 2s - 1 for even s
+# and 2s for odd s (Burr and Roberts, 1973).  At r = 0 the matching test
+# returns no edges, which must still count as "pattern present".
+STAR_NODES = {3: (1, 5), 4: (30, 109), 5: (63, 7677)}
+
+
+@pytest.mark.parametrize("t", sorted(STAR_NODES))
+def test_star_search_matches_burr_roberts(t):
+    s = t - 1
+    ramsey = 2 * s - 1 if s % 2 == 0 else 2 * s
+    p = SPattern(t, 0)
+    below, at = STAR_NODES[t]
+    out = exhaustive_witness_search(ramsey - 1, p)
+    assert (out.status, out.nodes_explored) == ("witness_found", below)
+    for c in (1, 2):
+        assert not brute_force_contains_S(out.witness, c, p)
+    out = exhaustive_witness_search(ramsey, p)
+    assert (out.status, out.nodes_explored) == ("exhausted_none", at)
+
+
 def _complete_bipartite(a: int, b: int) -> list[int]:
     """Rows of K_{a,b} with the a-side on vertices 0..a-1."""
     left, right = (1 << a) - 1, ((1 << (a + b)) - 1) ^ ((1 << a) - 1)
@@ -107,16 +122,6 @@ def _graphs_and_members(draw):
     return rows, draw(st.integers(0, (1 << n) - 1))
 
 
-def _matching_oracles(rows: list[int], members: int, need: int) -> tuple[bool, bool]:
-    n = len(rows)
-    g = ColoredCompleteGraph(n, 2, bytes(
-        1 if rows[u] >> v & 1 else 2 for u in range(n) for v in range(u + 1, n)
-    ))
-    in_m = [u for u in range(n) if members >> u & 1]
-    return (max_matching_size(in_m, g, 1) >= need,
-            matching_edges_at_least(rows.__getitem__, members, need) is not None)
-
-
 @pytest.mark.property_based
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_graphs_and_members(), st.integers(0, 6))
@@ -134,30 +139,38 @@ def _matching_oracles(rows: list[int], members: int, need: int) -> tuple[bool, b
 @example(graph=(_complete_bipartite(7, 52), (1 << 59) - 1), need=8)
 @example(graph=(_clique_plus_star(5, 40), (1 << 46) - 1), need=4)
 @example(graph=(_clique_plus_star(8, 40), (1 << 49) - 1), need=6)
-def test_nu_at_least_matches_blossom(graph, need):
+def test_disjoint_edges_matches_blossom(graph, need):
     rows, members = graph
-    want, want_greedy = _matching_oracles(rows, members, need)
-    assert want == want_greedy
-    assert _nu_at_least(rows, members, need) == want
+    nu = blossom_nu(rows, members)
+    if members.bit_count() <= 10:
+        edges = [(u, w) for u in range(len(rows)) for w in range(u + 1, len(rows))
+                 if members >> u & members >> w & rows[u] >> w & 1]
+        assert brute_max_matching(len(rows), edges) == nu
+    found = disjoint_edges(rows, members, need)
+    assert (found is not None) == (nu >= need)
+    if found is not None:
+        check_disjoint_edges(rows, members, need, found)
 
 
 def test_matching_recursion_is_capped(monkeypatch):
     calls = []
-    blossom = gallai_ramsey.search._blossom_mates
+    blossom = gallai_ramsey.patterns._blossom_mates
 
     def counting(adj):
         calls.append(len(adj))
         return blossom(adj)
 
-    monkeypatch.setattr(gallai_ramsey.search, "_blossom_mates", counting)
+    monkeypatch.setattr(gallai_ramsey.patterns, "_blossom_mates", counting)
     for need in range(3, 9):
         rows = _complete_bipartite(need - 1, 60 - need)
-        assert not _nu_at_least(rows, (1 << 59) - 1, need)
-        assert _nu_at_least(rows, (1 << 59) - 1, need - 1)
-    assert _nu_at_least(_clique_plus_star(5, 40), (1 << 46) - 1, 3)
-    assert not _nu_at_least(_clique_plus_star(5, 40), (1 << 46) - 1, 4)
-    # one fallback per "no" answer, on rows indexed by vertex id
-    assert calls == [59] * 6 + [46]
+        assert disjoint_edges(rows, (1 << 59) - 1, need) is None
+        check_disjoint_edges(rows, (1 << 59) - 1, need - 1,
+                             disjoint_edges(rows, (1 << 59) - 1, need - 1))
+    assert disjoint_edges(_clique_plus_star(5, 40), (1 << 46) - 1, 3) is not None
+    assert disjoint_edges(_clique_plus_star(5, 40), (1 << 46) - 1, 4) is None
+    # one fallback per "no" answer, on the kernel relabeled to 0..|kernel|-1:
+    # the need-1 greedy endpoints plus 2*need neighbors of each low-side one
+    assert calls == [3 * need - 1 for need in range(3, 9)] + [14]
 
 
 def test_budget_exceeded():
