@@ -10,13 +10,14 @@ strided slice stores for the lower part) and turns each block row into one
 bitset per color with ``bytes.translate`` and a base-2 ``int`` parse, so no
 n x n matrix is ever held.
 
-Every lower-bound coloring this package generates is a tower of two
-operators, both assembling the new table from row slices (``row_bytes``).
-``blowup`` replaces each template vertex by a part: ``join`` and
-``blowup_pentagon`` only build a 2- or 5-vertex template, and the sampler
-draws its own.  ``substitute_part`` splices a replacement coloring into a
-homogeneous block of consecutive vertex ids.  Both, and the file reader,
-hand the table they build to the graph uncopied.
+Every lower-bound coloring this package generates is a tower of blow-ups,
+each assembling the new table from row slices (``row_bytes``).  ``blowup``
+replaces each template vertex by a part: ``join`` and ``blowup_pentagon``
+only build a 2- or 5-vertex template, and the sampler draws its own.
+``substitute_part`` splices a replacement coloring into a homogeneous block
+of consecutive vertex ids, also from row slices; it is a public operator
+that no tower uses.  Both, and the file reader, hand the table they build
+to the graph uncopied.
 
 A graph file holds one row of colors per line.  For k <= 9 every color is
 one digit, so a row is written, and read back, as digits on the even bytes
@@ -392,17 +393,17 @@ def read_graph(path: str) -> ColoredCompleteGraph:
         seps, digits = b" " * (n - 2) + b"\n", b"123456789"[:k]
         for u, line in enumerate(fh):
             expected, pos = n - u - 1, u * (2 * n - u - 1) // 2
-            raw = line.encode()
-            evens = raw[0::2]
-            one_digit = len(raw) == 2 * expected and raw[1::2] == seps[-expected:]
-            if one_digit and not evens.translate(None, digits):
-                buf[pos : pos + expected] = evens.translate(_FROM_DIGITS)
-                continue
+            if len(line) == 2 * expected:
+                raw = line.encode()
+                evens = raw[0::2]
+                if raw[1::2] == seps[-expected:] and not evens.translate(None, digits):
+                    buf[pos : pos + expected] = evens.translate(_FROM_DIGITS)
+                    continue
+            # counted before any copy is made, so an over-long row costs no more than itself
+            nfields = line.count(" ") + 1
+            if nfields != expected:
+                raise GraphParseError(f"line {u + 2}: expected {expected} colors, got {nfields}")
             fields = line[:-1].split(" ")
-            if len(fields) != expected:
-                raise GraphParseError(
-                    f"line {u + 2}: expected {expected} colors, got {len(fields)}"
-                )
             try:
                 colors = list(map(int, fields))
             except ValueError:

@@ -7,7 +7,11 @@ Four families are provided:
   general lower bound for S_t^r in k colors.
 * ``g62``: the S_6^2 tower, which additionally swaps designated K_5 blocks
   for matched cliques at every level from 4 on.
-* ``g82``: the S_8^2 tower with K_7 blocks and its own substitution rules.
+* ``g82``: the S_8^2 tower with K_7 blocks and its own swap rules.
+
+The g62 and g82 towers are blow-ups only: a plan maps a swapped block's
+index in vertex order to its matching colors, and the tower is blown up
+from its blocks, plain or matched; no tower uses ``substitute_part``.
 
 Every builder re-checks its output with the detectors (no rainbow triangle,
 no monochromatic S_t^r in any color) unless ``verify=False`` is passed, and
@@ -17,10 +21,11 @@ form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .colored_graph import (
     ColoredCompleteGraph,
@@ -29,7 +34,6 @@ from .colored_graph import (
     check_order,
     join,
     new_monochromatic,
-    substitute_part,
 )
 from .gallai import find_rainbow_triangle
 from .patterns import SPattern, find_mono_S
@@ -73,6 +77,19 @@ def _certify(g: ColoredCompleteGraph, t: int, rs: Sequence[int], family: str) ->
                     f"{family}: monochromatic (t={t}, r={r}) in color {c}"
                     f" centered at {w.center}"
                 )
+
+
+def _finish(
+    family: str, g: ColoredCompleteGraph, predicted: int, t: int, rs: tuple[int, ...], verify: bool
+) -> ConstructionReport:
+    """Check the assembled order, certify g unless told not to, and report it."""
+    if g.n != predicted:
+        raise ConstructionError(f"{family}: assembled {g.n} vertices, expected {predicted}")
+    if verify:
+        _certify(g, t, rs, family)
+    return ConstructionReport(
+        graph=g, predicted_order=predicted, family=family, k=g.k, t=t, r=rs, verified=verify
+    )
 
 
 def _planned_order(k: int, order: Callable[[], int]) -> int:
@@ -133,19 +150,8 @@ def two_clique_witness(t: int, verify: bool = True) -> ConstructionReport:
         raise ParameterError(f"need t >= 3, got {t}")
     check_order(2 * t - 2, 2)
     half = new_monochromatic(t - 1, 2, 1)
-    g = join(half, half, 2)
     rs = tuple(range(1, (t - 1) // 2 + 1))
-    if verify:
-        _certify(g, t, rs, "two-clique")
-    return ConstructionReport(
-        graph=g,
-        predicted_order=2 * t - 2,
-        family="two-clique",
-        k=2,
-        t=t,
-        r=rs,
-        verified=verify,
-    )
+    return _finish("two-clique", join(half, half, 2), 2 * t - 2, t, rs, verify)
 
 
 def matched_clique(
@@ -164,101 +170,72 @@ def matched_clique(
     return g
 
 
-def _splice_blocks(
-    child: ColoredCompleteGraph,
-    level: int,
-    blocks: list[int],
-    spans: list[int],
-    subs: list[tuple[int, ColoredCompleteGraph]],
-    length: int,
-) -> tuple[ColoredCompleteGraph, list[int], list[int]]:
-    # only this frame holds the pentagon, so each splice frees its input; each base block
-    # [start, start+length) becomes its clique, the last first so later starts stay valid
-    g = blowup_pentagon([child] * 5, level - 1, level)
-    for start, rep in sorted(subs, key=lambda sr: -sr[0]):
-        g = substitute_part(g, range(start, start + length), rep)
-        d = rep.n - length
-        blocks = [b + d if b > start else b for b in blocks if b != start]
-        spans = [s + d if s > start else s for s in spans]
-    return g, blocks, spans
+_Swaps = dict[int, tuple[int, ...]]  # block index -> matching colors of its matched clique
 
 
-def _first_block_in(blocks: list[int], span: int) -> int:
-    return next(b for b in blocks if b >= span)
+def _copied_swaps(level: int, child: _Swaps, unit: int) -> tuple[_Swaps, list[int]]:
+    """The child's swaps in each of the five parts, and the untouched units' first blocks.
+
+    A unit is ``unit`` blocks long and every swap sits on a unit's first
+    block, so a unit is untouched when its first block is not swapped.
+    """
+    m = 5 ** ((level - 3) // 2) * (2 - level % 2)  # blocks in a part: 1 or 2, times 5 a level pair
+    swaps = {i * m + b: c for i in range(5) for b, c in child.items()}
+    return swaps, [u for u in range(0, 5 * m, unit) if u not in swaps]
 
 
-def _g62_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list[int]]:
-    # returns (graph, unmodified color-1 K_5 block starts, untouched unit
-    # starts), where a "unit" is a whole level-2 join pair on the even chain
-    # and a whole level-3 pentagon on the odd chain.  Each block swap goes
-    # into an untouched unit: a swapped block carries edges in the colors
-    # its unit uses between blocks, and a second such edge visible in one
-    # neighborhood would assemble a monochromatic pattern.
-    if level == 1:
-        return new_monochromatic(5, k, 1), [0], []
-    if level == 2:
-        half = new_monochromatic(5, k, 1)
-        return join(half, half, 2), [0, 5], [0]
-    child, child_blocks, child_spans = _g62_core(level - 2, k)
-    m = child.n
-    blocks = [i * m + b for i in range(5) for b in child_blocks]
-    if level == 3:
-        spans = [0]
+def _g62_swaps(level: int) -> _Swaps:
+    # a unit is a level-2 join pair on the even chain and a level-3 pentagon
+    # on the odd chain; each swap goes into an untouched unit, because a
+    # swapped block carries edges in the colors its unit uses between blocks,
+    # and a second such edge in one neighborhood would assemble a pattern
+    if level <= 3:
+        return {}
+    swaps, free = _copied_swaps(level, _g62_swaps(level - 2), 5 if level % 2 else 2)
+    if level % 2 == 0:
+        swaps[free[0]] = (2, level - 1, level)
+    else:  # first untouched unit of part 0 and of part 1; each part has len(free) // 5
+        swaps[free[0]] = (2, 3, level - 1)
+        swaps[free[len(free) // 5]] = (2, 3, level)
+    return swaps
+
+
+def _g82_swaps(level: int) -> _Swaps:
+    # same rules with K_7 blocks; units are level-3 pentagons on the odd
+    # chain and whole level-4 graphs on the even chain (the even-chain swaps
+    # recolor a matching with colors 2, 3 and 4, so everything a level-4
+    # graph colors with 2, 3, 4 must stay clear of them)
+    if level <= 4:
+        return {}
+    swaps, free = _copied_swaps(level, _g82_swaps(level - 2), 5 if level % 2 else 10)
+    if level % 2 == 1:
+        swaps[free[0]] = (2, 3, level - 1, level)
     else:
-        spans = [i * m + s for i in range(5) for s in child_spans]
-    subs: list[tuple[int, ColoredCompleteGraph]] = []
-    if level % 2 == 1 and level >= 5:
-        # first untouched unit of copy 0 and of copy 1
-        s0 = next(s for s in spans if s < m)
-        s1 = next(s for s in spans if m <= s < 2 * m)
-        b0 = _first_block_in(blocks, s0)
-        b1 = _first_block_in(blocks, s1)
-        subs = [
-            (b0, matched_clique(6, 1, [2, 3, level - 1], k)),
-            (b1, matched_clique(6, 1, [2, 3, level], k)),
-        ]
-        spans = [s for s in spans if s not in (s0, s1)]
-    elif level % 2 == 0:
-        s0 = spans[0]
-        b0 = _first_block_in(blocks, s0)
-        subs = [(b0, matched_clique(6, 1, [2, level - 1, level], k))]
-        spans = [s for s in spans if s != s0]
-    return _splice_blocks(child, level, blocks, spans, subs, 5)
+        swaps[free[0]] = (2, 3, 4, level)
+        swaps[free[1]] = (2, 3, 4, level - 1)
+    return swaps
 
 
-def _g82_core(level: int, k: int) -> tuple[ColoredCompleteGraph, list[int], list[int]]:
-    # same bookkeeping with K_7 blocks; units are level-3 pentagons on the
-    # odd chain and whole level-4 graphs on the even chain (the even-chain
-    # swaps recolor a matching with colors 2, 3 and 4, so everything a
-    # level-4 graph colors with 2, 3, 4 must stay clear of them)
-    if level == 1:
-        return new_monochromatic(7, k, 1), [0], []
-    if level == 2:
-        half = new_monochromatic(7, k, 1)
-        return join(half, half, 2), [0, 7], []
-    child, child_blocks, child_spans = _g82_core(level - 2, k)
-    m = child.n
-    blocks = [i * m + b for i in range(5) for b in child_blocks]
-    if level in (3, 4):
-        spans = [0]
-    else:
-        spans = [i * m + s for i in range(5) for s in child_spans]
-    subs: list[tuple[int, ColoredCompleteGraph]] = []
-    if level % 2 == 1 and level >= 5:
-        s0 = spans[0]
-        b0 = _first_block_in(blocks, s0)
-        subs = [(b0, matched_clique(8, 1, [2, 3, level - 1, level], k))]
-        spans = [s for s in spans if s != s0]
-    elif level % 2 == 0 and level >= 6:
-        s0, s1 = spans[0], spans[1]
-        b0 = _first_block_in(blocks, s0)
-        b1 = _first_block_in(blocks, s1)
-        subs = [
-            (b0, matched_clique(8, 1, [2, 3, 4, level], k)),
-            (b1, matched_clique(8, 1, [2, 3, 4, level - 1], k)),
-        ]
-        spans = [s for s in spans if s not in (s0, s1)]
-    return _splice_blocks(child, level, blocks, spans, subs, 7)
+def _swap_tower(level: int, k: int, base: int, swaps: _Swaps) -> ColoredCompleteGraph:
+    """Pentagon blow-ups over a color-2 join of two blocks, the blocks in vertex order.
+
+    Block i is a color-1 K_base, or the matched K_(base+1) with colors
+    ``swaps[i]`` when i is swapped.
+    """
+    plain = new_monochromatic(base, k, 1)
+    blocks = (
+        matched_clique(base + 1, 1, swaps[i], k) if i in swaps else plain
+        for i in itertools.count()
+    )
+
+    def grow(lv: int) -> ColoredCompleteGraph:
+        if lv == 1:
+            return next(blocks)
+        if lv == 2:
+            return join(next(blocks), next(blocks), 2)
+        return blowup_pentagon([grow(lv - 2) for _ in range(5)], lv - 1, lv)
+
+    return grow(level)
 
 
 def _general_core(level: int, t: int, k: int) -> ColoredCompleteGraph:
@@ -289,51 +266,25 @@ def build_general_lower(
         if not 1 <= rr <= (t - 1) // 2:
             raise ParameterError(f"pattern needs 1 <= r <= (t-1)/2, got r={rr} with t={t}")
     predicted = _planned_order(k, lambda: predicted_general_order(k, t))
-    g = _general_core(k, t, k)
-    if g.n != predicted:
-        raise ConstructionError(f"general: assembled {g.n} vertices, expected {predicted}")
-    if verify:
-        _certify(g, t, rs, "general")
-    return ConstructionReport(
-        graph=g,
-        predicted_order=predicted,
-        family="general",
-        k=k,
-        t=t,
-        r=rs,
-        verified=verify,
-    )
+    return _finish("general", _general_core(k, t, k), predicted, t, rs, verify)
 
 
 def build_G62(k: int, verify: bool = True) -> ConstructionReport:
     """S_6^2 lower-bound family; orders 10, 25, 51, 127, 256, 637, ...
 
-    Level recursion: five copies of the level k-2 graph arranged as a
-    pentagon blow-up in colors k-1, k.  From level 4 on, designated K_5
-    blocks are swapped for matched cliques of order 6: at even levels one
-    block becomes a clique with matching colors 2, k-1, k; at odd levels
-    >= 5 one block in each of the first two copies becomes one with
-    matching colors 2, 3, k-1 and 2, 3, k respectively.  Swapped blocks
-    always sit in previously untouched join pairs / pentagon units so that
-    no neighborhood ever collects two recolored matching edges.
+    Level recursion: five level k-2 towers arranged as a pentagon blow-up in
+    colors k-1, k, down to a color-2 join of two K_5 blocks at level 2.  From
+    level 4 on, designated K_5 blocks are swapped for matched cliques of
+    order 6: at even levels one block becomes a clique with matching colors
+    2, k-1, k; at odd levels >= 5 one block in each of the first two parts
+    becomes one with matching colors 2, 3, k-1 and 2, 3, k respectively.
+    Swapped blocks always sit in previously untouched join pairs / pentagon
+    units so that no neighborhood ever collects two recolored matching edges.
     """
     if k < 2:
         raise ParameterError(f"need k >= 2, got {k}")
     predicted = _planned_order(k, lambda: predicted_g62_order(k))
-    g, _, _ = _g62_core(k, k)
-    if g.n != predicted:
-        raise ConstructionError(f"g62: assembled {g.n} vertices, expected {predicted}")
-    if verify:
-        _certify(g, 6, (2,), "g62")
-    return ConstructionReport(
-        graph=g,
-        predicted_order=predicted,
-        family="g62",
-        k=k,
-        t=6,
-        r=(2,),
-        verified=verify,
-    )
+    return _finish("g62", _swap_tower(k, k, 5, _g62_swaps(k)), predicted, 6, (2,), verify)
 
 
 def build_G82(k: int, verify: bool = True) -> ConstructionReport:
@@ -349,17 +300,4 @@ def build_G82(k: int, verify: bool = True) -> ConstructionReport:
     if k < 2:
         raise ParameterError(f"need k >= 2, got {k}")
     predicted = _planned_order(k, lambda: predicted_g82_order(k))
-    g, _, _ = _g82_core(k, k)
-    if g.n != predicted:
-        raise ConstructionError(f"g82: assembled {g.n} vertices, expected {predicted}")
-    if verify:
-        _certify(g, 8, (2,), "g82")
-    return ConstructionReport(
-        graph=g,
-        predicted_order=predicted,
-        family="g82",
-        k=k,
-        t=8,
-        r=(2,),
-        verified=verify,
-    )
+    return _finish("g82", _swap_tower(k, k, 7, _g82_swaps(k)), predicted, 8, (2,), verify)

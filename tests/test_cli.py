@@ -194,6 +194,22 @@ def test_file_order_past_the_cap_exits_2_from_the_header(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: line 1: vertex count above {MAX_ORDER}")
 
 
+def test_over_long_row_exits_2_holding_little_more_than_the_row(tmp_path, capsys):
+    # a 10 MB line 2 where 2 colors belong: the field count is taken before
+    # the row is encoded, sliced or split
+    row = b"1 " * 4_999_999 + b"1\n"
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"3 2\n" + row + b"1\n")
+    tracemalloc.start()
+    try:
+        assert run(["partition", "--in", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(row)
+    assert capsys.readouterr().err == "error: line 2: expected 2 colors, got 5000000\n"
+
+
 def test_order_cap_covers_every_documented_order():
     # G82(8) is the largest graph the tests, the benchmark and the README build
     assert build_G82(8, verify=False).graph.n == 1762 <= MAX_ORDER

@@ -399,15 +399,15 @@ def test_constructor_and_copy_do_not_share_the_table():
 
 
 def test_tower_build_holds_no_table_twice():
-    # the last splice holds its input and its output table; a copy in the
-    # constructor or a frame keeping the pentagon makes it four tables
+    # the last blow-up holds its five parts (a fifth of the table together)
+    # and its output; a copy in the constructor makes it two tables or more
     tracemalloc.start()
     try:
         g = build_G82(6, verify=False).graph
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (g.n * (g.n - 1) // 2)
+    assert peak < 2 * (g.n * (g.n - 1) // 2)
 
 
 def test_parse_valid_triangle_file(tmp_path):

@@ -188,6 +188,10 @@ PINNED_SHA256 = {
     ("g62", 6): "823a9770cfa417e5559f321de7b5e58a6c3c63e0fb681770bbf4480937469d66",
     ("g62", 7): "63061fe485f814facc5ca63f76cff6c4edbeb776bc548e3afbacd6a90feb1eeb",
     ("g62", 8): "f304f6e0b80f991ae0c54ba0ecedbf1e525d7782b20daddabaaf844d76928c87",
+    # k = 9 (3,187 and 4,406 vertices), captured before the towers were blown
+    # up from a block plan: the first levels where a swap picks among several
+    # untouched units in each part
+    ("g62", 9): "f13956f40145c0d5583341105c0e3c51e8dfb7a6fec7d06c0ef8018fa7ae2582",
     ("g82", 2): "a51ffdd5b4e9f878376ab646ce43d2fa8d70996f68419bf72b51ee9b7718b54c",
     ("g82", 3): "7f7859b79bd09181ac246fd869d184f7adf265bc62d7a3396e1f418ff7d4de7f",
     ("g82", 4): "01c0ad04f7cf5fba65e2ef3266790176ac887bf13eefc596a5f46672d5adb700",
@@ -195,6 +199,7 @@ PINNED_SHA256 = {
     ("g82", 6): "5ef67b82b77bef28adace2900fc3a1ad55cc1eac0ce0d462e35a5fc5b5ac1d24",
     ("g82", 7): "9de9ed6fea99cbfdbaf4703cdf8de3c0f52e42c7c81fd37e4935ece66d16fc74",
     ("g82", 8): "ad1c311b83bfb02927a07b13e46828dbdf3997376d96ab51055d247bc56df0f4",
+    ("g82", 9): "cbd1b212c21fa3a4b9f61e54c7373eaaf43b3397bfdbf0d78ea277e8b9894bfd",
     ("general", 1, 6): "45bd5218d75c0358023b8811e2801b6ba2e8edf0567a24ed025e5a0de5e10cf7",
     ("general", 1, 7): "cd7e5477cf11822869cb0ce587b5974fe9694c19153580e7eb62d9e905dfef16",
     ("general", 1, 9): "8a81c695a060f7cc1a396634355b4b34397deb726c8679d040baf7430ba4840a",

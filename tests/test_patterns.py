@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gallai_ramsey.patterns
 from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
     ParameterError,
@@ -242,6 +243,47 @@ def test_detector_matches_unmemoised_reference(kind, seed):
         for p in REFERENCE_PATTERNS:
             for c in range(1, g.k + 1):
                 assert find_mono_S(g, c, p) == find_mono_S_reference(g, c, p)
+
+
+def _hub_and_bipartite(r: int) -> ColoredCompleteGraph:
+    # on 500 shuffled ids: a hub joined to everything and K_{r-1,200} in
+    # color 1, color 2 elsewhere; the hub's color-1 neighborhood has a
+    # matching of r - 1 edges and no more
+    ids = list(range(500))
+    random.Random(r).shuffle(ids)
+    hub, small, big = ids[0], ids[1:r], ids[r : r + 200]
+    g = ColoredCompleteGraph(500, 2, bytes([2]) * (500 * 499 // 2))
+    for v in ids[1:]:
+        g.set_color(hub, v, 1)
+    for a in small:
+        for b in big:
+            g.set_color(a, b, 1)
+    return g
+
+
+def test_large_neighborhood_stalls_the_greedy_and_reaches_blossom(monkeypatch):
+    # the greedy stops at r - 1 edges in the hub's 499 neighbors, so "no" at
+    # r needs the branching, and for r = 4, 5 its step cap and the fallback
+    calls = []
+    blossom = gallai_ramsey.patterns._blossom_mates
+
+    def counting(adj):
+        calls.append(len(adj))
+        return blossom(adj)
+
+    for r in (3, 4, 5):
+        g = _hub_and_bipartite(r)
+        absent, present = SPattern(2 * r + 3, r), SPattern(2 * r + 3, r - 1)
+        monkeypatch.setattr(gallai_ramsey.patterns, "_blossom_mates", counting)
+        assert find_mono_S(g, 1, absent) is None
+        w = find_mono_S(g, 1, present)
+        monkeypatch.undo()
+        assert w is not None and w.validate(g, present)
+        assert find_mono_S_reference(g, 1, absent) is None
+        assert find_mono_S_reference(g, 1, present) == w
+    # one fallback per "no" at r = 4, 5, on the kernel of the r - 1 greedy
+    # edges' ends plus 2r neighbors of each: 3r - 1 vertices
+    assert calls == [11, 14]
 
 
 @pytest.mark.property_based
