@@ -3,14 +3,17 @@ seeded generator of rainbow-triangle-free colorings.
 
 The search decides whether some red/blue coloring of K_n avoids a
 monochromatic target pattern in both colors.  Vertices are added one at a
-time; each new vertex's edge-color vector is enumerated in lexicographic
-order (color 1 before color 2), and a branch dies as soon as either color
-class contains the pattern on the already-colored prefix.  Containment checks
-are incremental: adding a vertex only changes the neighborhoods of that
-vertex and of its new neighbors, so only those centers are re-tested, the new
-vertex first.  The colors live in two lists of bitset rows indexed by vertex
-id; stepping to the next color vector flips one contiguous block of the new
-vertex's edges.
+time, and a node is one color vector of the new vertex v, taken in
+lexicographic order (color 1 before color 2, edge {0, v} most significant).
+The vector is built one edge at a time, {0, v} up to {v-1, v}, in two lists of
+bitset rows indexed by vertex id.  The colored graph was pattern-free before
+each edge, so adding {i, v} in color c can only create a center of that color
+at v, at i, or at a common c-neighbor of both, which gained {i, v} inside its
+neighborhood; only those are tested.  Containing the pattern is
+monotone in the edge set, so when a prefix of i + 1 edges holds it, all
+2^(v-1-i) completions do too: they are counted as nodes without being
+visited.  The survivors, the node count, the order and the node at which a
+node budget stops are those of stepping through every whole vector.
 
 A center holds S_t^r when its color class gives it at least t-1 neighbors
 spanning r disjoint edges, which ``patterns.disjoint_edges`` decides on the
@@ -65,10 +68,14 @@ class SearchBudget:
 
 @dataclass
 class SearchOutcome:
+    """Result of the search; ``nodes_by_depth[v]`` counts the color vectors
+    of vertex v, so the list sums to ``nodes_explored``."""
+
     status: str
     witness: Optional[ColoredCompleteGraph]
     nodes_explored: int
     elapsed: float
+    nodes_by_depth: list[int]
 
 
 def exhaustive_witness_search(
@@ -102,6 +109,10 @@ def exhaustive_witness_search(
     deadline = start + budget.max_time
     red, blue = [0] * n, [0] * n
     nodes = 0
+    by_depth = [0] * n
+    # the next node count at which the budget is looked at: max_nodes, or the
+    # next multiple of 1024, where the clock is read
+    limit = min(max_nodes, 1024)
     status = EXHAUSTED_NONE
     witness: Optional[ColoredCompleteGraph] = None
 
@@ -114,6 +125,19 @@ def exhaustive_witness_search(
             if mu.bit_count() >= min_deg and holds(rc, mu) is not None:
                 return True
         return False
+
+    def out_of_budget(v: int) -> bool:
+        """Called once nodes reaches limit; True stops the search."""
+        nonlocal nodes, limit, status
+        if nodes >= max_nodes:
+            # the per-vector count stops at max_nodes, inside the last block
+            by_depth[v] -= nodes - max_nodes
+            nodes = max_nodes
+        elif time.perf_counter() <= deadline:
+            limit = min(max_nodes, (nodes | 1023) + 1)
+            return False
+        status = BUDGET_EXCEEDED
+        return True
 
     def snapshot() -> ColoredCompleteGraph:
         buf = bytearray()
@@ -136,60 +160,53 @@ def exhaustive_witness_search(
             status = WITNESS_FOUND
             witness = g
             return True
-        hi = 1 << v
-        e = 0
+        # edges {0, v}, ..., {v-1, v} are colored one at a time, color 1
+        # first; edge {i, v} in color c is held in rc[i] and rc[v], rc being
+        # red for c = 1 and blue for c = 2
+        bit_v = 1 << v
+        last = v - 1
+        c, top = 1, 2  # edge {0, v} takes the colors c..top
         if break_symmetry:
             if v == 1:
-                hi = 1  # color swap: edge {0,1} is color 1
-            elif v >= 2 and (blue[0] >> (v - 1)) & 1:
+                top = 1  # color swap: edge {0,1} is color 1
+            elif (blue[0] >> last) & 1:
                 # vertex 0's colors are monotone: once color 2 appears, it stays
-                e = 1 << (v - 1)
-        # assign vector e: bit j of e gives edge {v-1-j, v}, set = color 2
-        bit_v = 1 << v
-        for i in range(v):
-            rc = blue if (e >> (v - 1 - i)) & 1 else red
+                c = 2
+        rc = red if c == 1 else blue
+        i, bit_i = 0, 1
+        while True:
             rc[i] |= bit_v
-            rc[v] |= 1 << i
-        try:
+            rc[v] |= bit_i
+            # the graph was pattern-free before this edge, so a new center
+            # is v, i, or a common neighbor, which gained the edge {i, v}
+            held = prune and center_in(rc, bit_v | bit_i | (rc[i] & rc[v]))
+            if not held and i < last:
+                i += 1
+                bit_i <<= 1
+                c, rc = 1, red
+                continue
+            # a whole vector, or a prefix that holds the pattern: containment
+            # is monotone, so its 2^(last-i) completions are counted unvisited
+            size = 1 << (last - i)
+            nodes += size
+            by_depth[v] += size
+            if nodes >= limit and out_of_budget(v):
+                return True
+            if not held and dfs(v + 1):
+                return True
+            # next prefix: color 2 on this edge, or back up to the last
+            # edge still in color 1
             while True:
-                nodes += 1
-                if nodes >= max_nodes or (
-                    nodes & 1023 == 0 and time.perf_counter() > deadline
-                ):
-                    status = BUDGET_EXCEEDED
-                    return True
-                # after adding vertex v only v and its neighbors gained
-                # neighbors; v itself is tested first, in both colors, as
-                # that is where a new pattern shows most often
-                if not prune or not (
-                    center_in(red, bit_v)
-                    or center_in(blue, bit_v)
-                    or center_in(red, red[v])
-                    or center_in(blue, blue[v])
-                ):
-                    if dfs(v + 1):
-                        return True
-                nxt = e + 1
-                if nxt >= hi:
+                rc[i] ^= bit_v
+                rc[v] ^= bit_i
+                if c == 1 and (i or top == 2):
+                    c, rc = 2, blue
+                    break
+                if not i:
                     return False
-                # e -> e + 1 flips bits 0..L-1, the edges {i, v} for i in
-                # v-L..v-1: one contiguous block of v's rows
-                diff = e ^ nxt
-                low = v - diff.bit_length()
-                flip = diff << low
-                red[v] ^= flip
-                blue[v] ^= flip
-                for i in range(low, v):
-                    red[i] ^= bit_v
-                    blue[i] ^= bit_v
-                e = nxt
-        finally:
-            mask_v = ~bit_v
-            for i in range(v):
-                red[i] &= mask_v
-                blue[i] &= mask_v
-            red[v] = 0
-            blue[v] = 0
+                i -= 1
+                bit_i >>= 1
+                c, rc = (2, blue) if blue[v] & bit_i else (1, red)
 
     dfs(1)
     return SearchOutcome(
@@ -197,22 +214,8 @@ def exhaustive_witness_search(
         witness=witness,
         nodes_explored=nodes,
         elapsed=time.perf_counter() - start,
+        nodes_by_depth=by_depth,
     )
-
-
-def all_pattern_free_colorings(
-    n: int, p: SPattern, *, break_symmetry: bool = True
-) -> list[ColoredCompleteGraph]:
-    """Every pattern-free 2-coloring the search enumerates (test instrumentation)."""
-    leaves: list[ColoredCompleteGraph] = []
-    exhaustive_witness_search(
-        n,
-        p,
-        SearchBudget(max_nodes=10**12, max_time=3600.0),
-        break_symmetry=break_symmetry,
-        collect=leaves,
-    )
-    return leaves
 
 
 # -- construction verification --------------------------------------------------

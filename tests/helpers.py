@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from typing import Optional
 
 from gallai_ramsey.colored_graph import (
     MAX_ORDER,
@@ -12,7 +14,22 @@ from gallai_ramsey.colored_graph import (
     lsb_index,
 )
 from gallai_ramsey.gallai import GallaiPartition, PartitionCheck
-from gallai_ramsey.patterns import RainbowTriangle, SPattern, SWitness, _blossom_mates, disjoint_edges
+from gallai_ramsey.patterns import (
+    RainbowTriangle,
+    SPattern,
+    SWitness,
+    _blossom_mates,
+    _two_edges,
+    disjoint_edges,
+)
+from gallai_ramsey.search import (
+    BUDGET_EXCEEDED,
+    EXHAUSTED_NONE,
+    WITNESS_FOUND,
+    SearchBudget,
+    SearchOutcome,
+    exhaustive_witness_search,
+)
 
 
 def random_graph(rng: random.Random, n: int, k: int) -> ColoredCompleteGraph:
@@ -475,3 +492,150 @@ def read_graph_reference(path: str) -> ColoredCompleteGraph:
                     raise GraphParseError(f"line {u + 2}: color id {c} outside 1..{k}")
                 buf.append(c)
     return ColoredCompleteGraph(n, k, buf)
+
+
+def exhaustive_witness_search_reference(
+    n: int,
+    p: SPattern,
+    budget: SearchBudget | None = None,
+    *,
+    prune: bool = True,
+    break_symmetry: bool = True,
+    collect: Optional[list[ColoredCompleteGraph]] = None,
+) -> SearchOutcome:
+    """The search as it stepped through whole color vectors: the oracle for
+    ``exhaustive_witness_search``.
+
+    Each color vector of the new vertex is one node, counted and then
+    re-tested whole.  Apart from the name, the only addition is the per-depth
+    tally: one ``by_depth[v] += 1`` beside each ``nodes += 1``, returned as
+    ``nodes_by_depth``.
+    """
+    if n < 2:
+        raise ParameterError(f"search needs n >= 2, got n={n}")
+    if n > 60:
+        raise ParameterError(f"search supports n <= 60, got n={n}")
+    if budget is None:
+        budget = SearchBudget()
+    min_deg, r = p.t - 1, p.r
+    # every center tested has min_deg >= 2r neighbors, so need=2 needs no size check
+    holds = _two_edges if r == 2 else lambda rc, mu: disjoint_edges(rc, mu, r)
+    max_nodes = budget.max_nodes
+    start = time.perf_counter()
+    deadline = start + budget.max_time
+    red, blue = [0] * n, [0] * n
+    nodes = 0
+    by_depth = [0] * n
+    status = EXHAUSTED_NONE
+    witness: Optional[ColoredCompleteGraph] = None
+
+    def center_in(rc: list[int], centers: int) -> bool:
+        """Is some vertex of the `centers` bitset a center of the pattern in rc?"""
+        while centers:
+            low = centers & -centers
+            centers ^= low
+            mu = rc[low.bit_length() - 1]
+            if mu.bit_count() >= min_deg and holds(rc, mu) is not None:
+                return True
+        return False
+
+    def snapshot() -> ColoredCompleteGraph:
+        buf = bytearray()
+        for u in range(n):
+            for v in range(u + 1, n):
+                buf.append(2 if (blue[u] >> v) & 1 else 1)
+        return ColoredCompleteGraph(n, 2, buf)
+
+    def dfs(v: int) -> bool:
+        """Extend vertex v; True aborts the whole search (witness or budget)."""
+        nonlocal nodes, status, witness
+        if v == n:
+            everyone = (1 << n) - 1
+            if not prune and (center_in(red, everyone) or center_in(blue, everyone)):
+                return False
+            g = snapshot()
+            if collect is not None:
+                collect.append(g)
+                return False
+            status = WITNESS_FOUND
+            witness = g
+            return True
+        hi = 1 << v
+        e = 0
+        if break_symmetry:
+            if v == 1:
+                hi = 1  # color swap: edge {0,1} is color 1
+            elif v >= 2 and (blue[0] >> (v - 1)) & 1:
+                # vertex 0's colors are monotone: once color 2 appears, it stays
+                e = 1 << (v - 1)
+        # assign vector e: bit j of e gives edge {v-1-j, v}, set = color 2
+        bit_v = 1 << v
+        for i in range(v):
+            rc = blue if (e >> (v - 1 - i)) & 1 else red
+            rc[i] |= bit_v
+            rc[v] |= 1 << i
+        try:
+            while True:
+                nodes += 1
+                by_depth[v] += 1
+                if nodes >= max_nodes or (
+                    nodes & 1023 == 0 and time.perf_counter() > deadline
+                ):
+                    status = BUDGET_EXCEEDED
+                    return True
+                # after adding vertex v only v and its neighbors gained
+                # neighbors; v itself is tested first, in both colors, as
+                # that is where a new pattern shows most often
+                if not prune or not (
+                    center_in(red, bit_v)
+                    or center_in(blue, bit_v)
+                    or center_in(red, red[v])
+                    or center_in(blue, blue[v])
+                ):
+                    if dfs(v + 1):
+                        return True
+                nxt = e + 1
+                if nxt >= hi:
+                    return False
+                # e -> e + 1 flips bits 0..L-1, the edges {i, v} for i in
+                # v-L..v-1: one contiguous block of v's rows
+                diff = e ^ nxt
+                low = v - diff.bit_length()
+                flip = diff << low
+                red[v] ^= flip
+                blue[v] ^= flip
+                for i in range(low, v):
+                    red[i] ^= bit_v
+                    blue[i] ^= bit_v
+                e = nxt
+        finally:
+            mask_v = ~bit_v
+            for i in range(v):
+                red[i] &= mask_v
+                blue[i] &= mask_v
+            red[v] = 0
+            blue[v] = 0
+
+    dfs(1)
+    return SearchOutcome(
+        status=status,
+        witness=witness,
+        nodes_explored=nodes,
+        elapsed=time.perf_counter() - start,
+        nodes_by_depth=by_depth,
+    )
+
+
+def all_pattern_free_colorings(
+    n: int, p: SPattern, *, break_symmetry: bool = True
+) -> list[ColoredCompleteGraph]:
+    """Every pattern-free 2-coloring the search enumerates, in its order."""
+    leaves: list[ColoredCompleteGraph] = []
+    exhaustive_witness_search(
+        n,
+        p,
+        SearchBudget(max_nodes=10**12, max_time=3600.0),
+        break_symmetry=break_symmetry,
+        collect=leaves,
+    )
+    return leaves

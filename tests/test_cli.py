@@ -144,6 +144,10 @@ def test_search_budget_exit_code(capsys):
     assert run(["search", "--n", "11", "--t", "6", "--r", "2",
                 "--budget-nodes", "1000"]) == 3
     assert _first_line(capsys).startswith("status=budget_exceeded")
+    # the budget falls inside a block of completions counted at once
+    assert run(["search", "--n", "13", "--t", "7", "--r", "3",
+                "--budget-nodes", "150000"]) == 3
+    assert _first_line(capsys).startswith("status=budget_exceeded n=13 t=7 r=3 nodes=150000 ")
 
 
 def test_sample_deterministic(tmp_path, capsys):

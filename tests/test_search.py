@@ -13,12 +13,17 @@ from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition, find_ra
 from gallai_ramsey.patterns import SPattern, brute_force_contains_S, disjoint_edges
 from gallai_ramsey.search import (
     SearchBudget,
-    all_pattern_free_colorings,
     exhaustive_witness_search,
     random_gallai_sampler,
     verify_construction,
 )
-from helpers import blossom_nu, brute_max_matching, check_disjoint_edges
+from helpers import (
+    all_pattern_free_colorings,
+    blossom_nu,
+    brute_max_matching,
+    check_disjoint_edges,
+    exhaustive_witness_search_reference,
+)
 
 K3 = SPattern(3, 1)
 
@@ -178,6 +183,74 @@ def test_budget_exceeded():
     assert out.status == "budget_exceeded"
     assert out.nodes_explored == 200
     assert out.witness is None
+
+
+def test_budget_stops_on_the_clock():
+    out = exhaustive_witness_search(11, SPattern(6, 2), SearchBudget(max_time=0.05))
+    assert out.status == "budget_exceeded"
+    assert out.witness is None
+    assert 0 < out.nodes_explored < 20_901_085
+    assert sum(out.nodes_by_depth) == out.nodes_explored
+
+
+def test_nodes_by_depth():
+    out = exhaustive_witness_search(6, K3)
+    assert out.nodes_by_depth == [0, 1, 4, 16, 48, 32]
+    assert sum(out.nodes_by_depth) == out.nodes_explored == 101
+    # a node budget stops inside a block; the depth's count stops with it
+    out = exhaustive_witness_search(11, SPattern(6, 2), SearchBudget(max_nodes=200))
+    assert sum(out.nodes_by_depth) == out.nodes_explored == 200
+
+
+def test_order_60_search_colors_its_edges_without_recursion():
+    # each depth colors up to 59 edges in a loop; recursion is one frame
+    # per vertex, so K_60 stays far below the interpreter's frame limit
+    out = exhaustive_witness_search(60, SPattern(59, 2), SearchBudget(max_nodes=10**5))
+    assert (out.status, out.nodes_explored) == ("budget_exceeded", 10**5)
+    assert out.nodes_by_depth[58] > 0
+
+
+def _result(out, tmp_path) -> tuple:
+    """Status, node counts and the witness's file text of a search outcome."""
+    text = None
+    if out.witness is not None:
+        path = str(tmp_path / "w.txt")
+        write_graph(out.witness, path)
+        with open(path) as fh:
+            text = fh.read()
+    return out.status, out.nodes_explored, out.nodes_by_depth, text
+
+
+ALL_PATTERNS = [SPattern(t, r) for t in range(2, 8) for r in range((t - 1) // 2 + 1)]
+
+
+def test_search_agrees_with_the_per_vector_reference(tmp_path):
+    """Prefixes colored edge by edge, with pruned blocks counted unvisited,
+    give the results of stepping through every whole color vector."""
+    cases = [(n, p, None, True, True) for n in range(2, 9) for p in ALL_PATTERNS]
+    cases += [(n, p, None, prune, sym) for n in range(2, 7) for p in ALL_PATTERNS
+              for prune, sym in ((False, True), (True, False), (False, False))]
+    # stops inside a block of completions counted at once, and on its edges
+    cases += [(9, SPattern(5, 2), SearchBudget(max_nodes=m), True, True)
+              for m in (1, 2, 37, 500, 4096, 4097, 100_000)]
+    cases += [(8, p, SearchBudget(max_nodes=m), True, True)
+              for p in ALL_PATTERNS for m in (37, 500)]
+    for n, p, budget, prune, sym in cases:
+        got = exhaustive_witness_search(n, p, budget, prune=prune, break_symmetry=sym)
+        want = exhaustive_witness_search_reference(n, p, budget, prune=prune, break_symmetry=sym)
+        assert _result(got, tmp_path) == _result(want, tmp_path), (n, p, budget, prune, sym)
+
+
+def test_collected_leaves_agree_with_the_per_vector_reference():
+    flags = [(True, True), (False, True), (True, False), (False, False)]
+    cases = [(n, p, prune, sym) for n in range(2, 6) for p in ALL_PATTERNS
+             for prune, sym in flags]
+    cases += [(6, p, prune, True) for p in ALL_PATTERNS for prune in (True, False)]
+    for n, p, prune, sym in cases:
+        got, want = [], []
+        exhaustive_witness_search(n, p, prune=prune, break_symmetry=sym, collect=got)
+        exhaustive_witness_search_reference(n, p, prune=prune, break_symmetry=sym, collect=want)
+        assert got == want, (n, p, prune, sym)
 
 
 def test_budget_and_bounds_validation():
