@@ -5,6 +5,9 @@ floats.  Values carry a validity flag (parameters inside the stated
 domain of the formula) and an optional caveat id where two published
 expressions for the same quantity disagree; both values are then
 reported, the alternate embedded in the caveat string.
+
+Every k-color evaluator refuses k outside the package's color range 1..255
+(``check_order(1, k)``) before it evaluates a power of 5 in k.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colored_graph import ParameterError
+from .colored_graph import ParameterError, check_order
 
 __all__ = [
     "BoundValue",
@@ -72,8 +75,7 @@ def ramsey_Str(t: int, r: int) -> BoundValue:
 
 def gr_S62(k: int) -> BoundValue:
     """Exact k-color Gallai-Ramsey number for S_6^2."""
-    if k < 1:
-        raise ParameterError("k must be at least 1")
+    check_order(1, k)
     if k % 2 == 0:
         value = _as_int(2 * _FIVE ** (k // 2)
                         + Fraction(1, 4) * _FIVE ** ((k - 2) // 2)
@@ -94,6 +96,7 @@ def gr_S82(k: int) -> BoundValue:
     """
     if k < 3:
         raise ParameterError("k must be at least 3")
+    check_order(1, k)
     if k % 2 == 0:
         value = _as_int(14 * _FIVE ** ((k - 2) // 2)
                         + Fraction(1, 2) * _FIVE ** ((k - 4) // 2)
@@ -111,8 +114,7 @@ def gr_S82(k: int) -> BoundValue:
 
 def gr_St2_bounds(k: int, t: int) -> tuple[BoundValue, BoundValue]:
     """Lower/upper pair for the k-color Gallai-Ramsey number of S_t^2."""
-    if k < 1:
-        raise ParameterError("k must be at least 1")
+    check_order(1, k)
     if t < 5:
         raise ParameterError("S_t^2 needs t >= 5")
     valid = t >= 6
@@ -133,8 +135,7 @@ def gr_Str_bounds(k: int, t: int, r: int) -> tuple[BoundValue, BoundValue]:
     k=2 the upper formula can exceed the known two-color exact value;
     that value is then attached as a caveat rather than substituted.
     """
-    if k < 1:
-        raise ParameterError("k must be at least 1")
+    check_order(1, k)
     if r < 1 or t - 1 < 2 * r:
         raise ParameterError(f"no S_{t}^{r} pattern: need 1 <= r <= (t-1)/2")
     valid = t >= 6 * r - 5

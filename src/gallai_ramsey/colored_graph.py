@@ -1,4 +1,4 @@
-"""Edge-colored complete graphs and the composition operators used to build them.
+"""Edge-colored complete graphs and the blow-up operator used to build them.
 
 A ``ColoredCompleteGraph`` assigns one color id (1-based, in ``1..k``) to every
 unordered pair of distinct vertices (0-based, in ``0..n-1``).  The color table
@@ -13,11 +13,8 @@ n x n matrix is ever held.
 Every lower-bound coloring this package generates is a tower of blow-ups,
 each assembling the new table from row slices (``row_bytes``).  ``blowup``
 replaces each template vertex by a part: ``join`` and ``blowup_pentagon``
-only build a 2- or 5-vertex template, and the sampler draws its own.
-``substitute_part`` splices a replacement coloring into a homogeneous block
-of consecutive vertex ids, also from row slices; it is a public operator
-that no tower uses.  Both, and the file reader, hand the table they build
-to the graph uncopied.
+only build a 2- or 5-vertex template, and the sampler draws its own.  It,
+and the file reader, hand the table they build to the graph uncopied.
 
 A graph file holds one row of colors per line.  For k <= 9 every color is
 one digit, so a row is written, and read back, as digits on the even bytes
@@ -27,7 +24,7 @@ which also words every error.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class ParameterError(ValueError):
@@ -174,12 +171,6 @@ class ColoredCompleteGraph:
                     append(int(rev.translate(table), 2))
         return rows
 
-    def row(self, v: int, c: int) -> int:
-        """Bitset of the c-colored neighbors of v (bit w set iff {v,w} has color c)."""
-        if not 0 <= v < self.n:
-            raise ParameterError(f"vertex {v} out of range 0..{self.n - 1}")
-        return self.rows(c)[v]
-
     def rows(self, c: int) -> list[int]:
         """All adjacency bitsets for color c, indexed by vertex; treat as read-only."""
         if not 1 <= c <= self.k:
@@ -266,55 +257,6 @@ def blowup_pentagon(
     for i in range(5):
         pentagon.set_color(i, (i + 1) % 5, c1)
     return blowup(pentagon, parts)
-
-
-def substitute_part(
-    g: ColoredCompleteGraph,
-    part_vertices: Iterable[int],
-    replacement: ColoredCompleteGraph,
-) -> ColoredCompleteGraph:
-    """Replace a homogeneous block of consecutive vertex ids by a whole colored graph.
-
-    Every vertex outside the block must see all of its members in one color;
-    that color is kept on all its edges to the replacement, which takes ids
-    from the block's first id on.  The new table is spliced from row slices.
-    """
-    part = sorted(set(part_vertices))
-    if not part:
-        raise ParameterError("part is empty")
-    if part[0] < 0 or part[-1] >= g.n:
-        raise ParameterError(f"part vertices out of range 0..{g.n - 1}")
-    a, b = part[0], part[-1] + 1
-    if len(part) != b - a:
-        raise ParameterError(f"part is not a block of consecutive ids {a}..{b - 1}")
-    if replacement.k != g.k:
-        raise ParameterError(f"color counts differ: {g.k} vs {replacement.k}")
-
-    def mixed(w: int) -> ParameterError:
-        cols = sorted({g.color(w, p) for p in part})
-        return ParameterError(f"part is not homogeneous: vertex {w} sees colors {cols}")
-
-    buf = bytearray()
-    for w in range(a):  # w sees the block on one slice of its row
-        rb = g.row_bytes(w)
-        if len(set(rb[a - w - 1 : b - w - 1])) > 1:
-            raise mixed(w)
-        buf += rb[: a - w - 1]
-        buf += bytes([rb[a - w - 1]]) * replacement.n
-        buf += rb[b - w - 1 :]
-    # a vertex w after the block sees member p in color row_bytes(p)[w - p - 1],
-    # so every member's row tail must equal the last member's row
-    tail = g.row_bytes(b - 1)
-    for p in range(a, b - 1):
-        other = g.row_bytes(p)[b - p - 1 :]
-        if other != tail:
-            raise mixed(b + next(i for i, c in enumerate(tail) if other[i] != c))
-    for u in range(replacement.n):
-        buf += replacement.row_bytes(u)
-        buf += tail
-    for w in range(b, g.n):
-        buf += g.row_bytes(w)
-    return ColoredCompleteGraph._owning(g.n - (b - a) + replacement.n, g.k, buf)
 
 
 # -- serialization ------------------------------------------------------------

@@ -11,7 +11,7 @@ Four families are provided:
 
 The g62 and g82 towers are blow-ups only: a plan maps a swapped block's
 index in vertex order to its matching colors, and the tower is blown up
-from its blocks, plain or matched; no tower uses ``substitute_part``.
+from its blocks, plain or matched.
 
 Every builder re-checks its output with the detectors (no rainbow triangle,
 no monochromatic S_t^r in any color) unless ``verify=False`` is passed, and

@@ -56,14 +56,6 @@ class SPattern:
             )
 
     @property
-    def is_star(self) -> bool:
-        return self.r == 0
-
-    @property
-    def is_fan(self) -> bool:
-        return self.t == 2 * self.r + 1
-
-    @property
     def pendant_count(self) -> int:
         return self.t - 1 - 2 * self.r
 
@@ -379,13 +371,6 @@ def find_mono_S(
             color=c,
         )
     return None
-
-
-def find_mono_fan(g: ColoredCompleteGraph, c: int, m: int) -> Optional[SWitness]:
-    """Fan of m triangles through one center; equals the (2m+1, m) pattern."""
-    if m < 1:
-        raise ParameterError(f"fan size must be >= 1, got {m}")
-    return find_mono_S(g, c, SPattern(2 * m + 1, m))
 
 
 def brute_force_contains_S(g: ColoredCompleteGraph, c: int, p: SPattern) -> bool:

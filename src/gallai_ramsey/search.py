@@ -62,7 +62,7 @@ class SearchBudget:
     max_time: float = 3600.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.max_time <= 0:
+        if not (self.max_nodes > 0 and self.max_time > 0):  # also refuses NaN
             raise ParameterError("budget limits must be positive")
 
 
@@ -83,17 +83,15 @@ def exhaustive_witness_search(
     p: SPattern,
     budget: SearchBudget | None = None,
     *,
-    prune: bool = True,
-    break_symmetry: bool = True,
     collect: Optional[list[ColoredCompleteGraph]] = None,
 ) -> SearchOutcome:
     """Search all 2-colorings of K_n for one avoiding the pattern in both colors.
 
     Returns the first witness in the deterministic enumeration order, or
     exhausted_none when the (symmetry-reduced) tree is fully explored, or
-    budget_exceeded.  ``prune`` and ``break_symmetry`` exist so tests can
-    compare against the unpruned/unreduced search on tiny inputs; `collect`
-    gathers every surviving leaf instead of stopping at the first.
+    budget_exceeded.  The tree is pruned and symmetry-reduced as the module
+    docstring describes; `collect` gathers every surviving leaf instead of
+    stopping at the first.
     """
     if n < 2:
         raise ParameterError(f"search needs n >= 2, got n={n}")
@@ -150,9 +148,6 @@ def exhaustive_witness_search(
         """Extend vertex v; True aborts the whole search (witness or budget)."""
         nonlocal nodes, status, witness
         if v == n:
-            everyone = (1 << n) - 1
-            if not prune and (center_in(red, everyone) or center_in(blue, everyone)):
-                return False
             g = snapshot()
             if collect is not None:
                 collect.append(g)
@@ -166,12 +161,11 @@ def exhaustive_witness_search(
         bit_v = 1 << v
         last = v - 1
         c, top = 1, 2  # edge {0, v} takes the colors c..top
-        if break_symmetry:
-            if v == 1:
-                top = 1  # color swap: edge {0,1} is color 1
-            elif (blue[0] >> last) & 1:
-                # vertex 0's colors are monotone: once color 2 appears, it stays
-                c = 2
+        if v == 1:
+            top = 1  # color swap: edge {0,1} is color 1
+        elif (blue[0] >> last) & 1:
+            # vertex 0's colors are monotone: once color 2 appears, it stays
+            c = 2
         rc = red if c == 1 else blue
         i, bit_i = 0, 1
         while True:
@@ -179,7 +173,7 @@ def exhaustive_witness_search(
             rc[v] |= bit_i
             # the graph was pattern-free before this edge, so a new center
             # is v, i, or a common neighbor, which gained the edge {i, v}
-            held = prune and center_in(rc, bit_v | bit_i | (rc[i] & rc[v]))
+            held = center_in(rc, bit_v | bit_i | (rc[i] & rc[v]))
             if not held and i < last:
                 i += 1
                 bit_i <<= 1

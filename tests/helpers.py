@@ -629,13 +629,15 @@ def exhaustive_witness_search_reference(
 def all_pattern_free_colorings(
     n: int, p: SPattern, *, break_symmetry: bool = True
 ) -> list[ColoredCompleteGraph]:
-    """Every pattern-free 2-coloring the search enumerates, in its order."""
+    """Every pattern-free 2-coloring the search enumerates, in its order.
+
+    The library search always breaks symmetry; with ``break_symmetry=False``
+    the leaves come from the reference search, which can turn it off.
+    """
     leaves: list[ColoredCompleteGraph] = []
-    exhaustive_witness_search(
-        n,
-        p,
-        SearchBudget(max_nodes=10**12, max_time=3600.0),
-        break_symmetry=break_symmetry,
-        collect=leaves,
-    )
+    budget = SearchBudget(max_nodes=10**12, max_time=3600.0)
+    if break_symmetry:
+        exhaustive_witness_search(n, p, budget, collect=leaves)
+    else:
+        exhaustive_witness_search_reference(n, p, budget, break_symmetry=False, collect=leaves)
     return leaves

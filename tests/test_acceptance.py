@@ -23,7 +23,6 @@ from gallai_ramsey.patterns import (
     SPattern,
     brute_force_contains_S,
     find_mono_S,
-    find_mono_fan,
 )
 from gallai_ramsey.search import (
     SearchBudget,
@@ -234,7 +233,7 @@ def test_criterion_10_guaranteed_structure_detection():
     for _ in range(200):
         n = rng.choice((2, 3, 4))
         g = helpers.random_parts_graph(rng, n - 1, 4 * n - 3, 3, 1)
-        w = find_mono_fan(g, 1, n)
+        w = find_mono_S(g, 1, SPattern(2 * n + 1, n))
         fan_hits += w is not None and w.validate(g, SPattern(2 * n + 1, n))
     str_hits = 0
     for _ in range(200):

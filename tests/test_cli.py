@@ -1,13 +1,17 @@
 """Tests for the command-line frontend."""
 
+import io
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import EntryPoint
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gallai_ramsey.cli
 from gallai_ramsey.cli import run
@@ -53,6 +57,14 @@ def test_bounds_usage_errors(capsys):
     assert run(["bounds", "--t", "7", "--r", "2"]) == 2
     assert run(["bounds", "--t", "4", "--r", "2", "--k", "3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("k", [256, 20000, 10**9])
+@pytest.mark.parametrize("t, r", [(6, 2), (8, 2), (7, 2), (9, 3)])
+def test_bounds_refuse_k_past_the_color_cap(k, t, r, capsys):
+    # each evaluator refuses k before a power of 5 in k gets evaluated or printed
+    assert run(["bounds", "--k", str(k), "--t", str(t), "--r", str(r)]) == 2
+    assert capsys.readouterr().err == f"error: color count must be in 1..255, got {k}\n"
 
 
 def test_construct_writes_partition_reduce_roundtrip(tmp_path, capsys):
@@ -227,6 +239,48 @@ def test_usage_errors(capsys):
     assert run(["verify", "--in", "/nonexistent/path.txt", "--t", "3", "--r", "1"]) == 2
     assert run(["search", "--n", "5", "--t", "3", "--r", "7"]) == 2
     capsys.readouterr()
+
+
+def _run_quiet(argv: list[str]) -> int:
+    """Exit code of ``run(argv)``, which must be a documented one; a 2 must
+    come with a one-line error, not a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith(("error:", "usage error:"))
+    return code
+
+
+def _valid_or_any(lo: int, hi: int) -> st.SearchStrategy[int]:
+    """Mostly values in lo..hi, which get past validation; otherwise any integer."""
+    return st.integers(lo, hi) | st.integers()
+
+
+@pytest.mark.property_based
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(k=_valid_or_any(1, 12), t=_valid_or_any(5, 20), r=_valid_or_any(1, 4))
+@example(k=20000, t=6, r=2)  # 5^10000 has more digits than str() converts
+def test_bounds_argv_exits_with_a_code_never_a_traceback(k, t, r):
+    _run_quiet(["bounds", f"--k={k}", f"--t={t}", f"--r={r}"])
+
+
+@pytest.mark.property_based
+@settings(max_examples=300, derandomize=True, deadline=None)
+# no --out, so no draw writes a file
+@given(n=st.integers(2, 60) | st.integers(max_value=60), r=st.integers(0, 3),
+       pendants=st.integers(0, 8), nodes=st.integers(1, 10**4) | st.integers(max_value=10**4),
+       seconds=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+       | st.floats(1e-3, 60.0) | st.floats())
+@example(n=9, r=2, pendants=0, nodes=10**4, seconds=math.nan)
+def test_search_argv_exits_with_a_code_never_a_traceback(n, r, pendants, nodes, seconds):
+    # a valid pattern S_t^r, so the draws reach the budget check and the search
+    t = 2 * r + 1 + pendants
+    code = _run_quiet(["search", f"--n={n}", f"--t={t}", f"--r={r}",
+                       f"--budget-nodes={nodes}", f"--budget-seconds={seconds}"])
+    if not (nodes > 0 and seconds > 0):  # NaN included: no search starts on such a budget
+        assert code == 2
 
 
 def test_console_script_runs(tmp_path):

@@ -20,7 +20,6 @@ from gallai_ramsey.colored_graph import (
     join,
     new_monochromatic,
     read_graph,
-    substitute_part,
     write_graph,
 )
 from gallai_ramsey.constructions import build_G82
@@ -59,7 +58,7 @@ def test_new_monochromatic_invalid_color():
 
 
 def _neighborhood(g, v, c):
-    return frozenset(iter_bits(g.row(v, c)))
+    return frozenset(iter_bits(g.rows(c)[v]))
 
 
 def test_edge_color_read_your_write():
@@ -204,67 +203,6 @@ def test_blowup_matches_template_and_parts(seed):
 def test_blowup_rejects(template, parts):
     with pytest.raises(ParameterError):
         blowup(template, parts)
-
-
-def test_substitute_part_identity():
-    g = join(new_monochromatic(5, 4, 1), new_monochromatic(5, 4, 1), 2)
-    same = substitute_part(g, range(5, 10), new_monochromatic(5, 4, 1))
-    assert same == g
-
-
-def test_substitute_part_grows_order():
-    parts = [new_monochromatic(5, 4, 1) for _ in range(5)]
-    g = blowup_pentagon(parts, 2, 3)
-    repl = new_monochromatic(6, 4, 1)
-    h = substitute_part(g, range(5, 10), repl)
-    assert h.n == 26
-    # external vertices keep their single color toward the whole replacement
-    for w in list(range(5)) + list(range(11, 26)):
-        cols = {h.color(w, x) for x in range(5, 11)}
-        assert len(cols) == 1
-
-
-@pytest.mark.parametrize(
-    "block, stray",
-    [(range(5, 10), (0, 7)), (range(0, 5), (7, 2))],
-    ids=["before", "after"],
-)
-def test_substitute_part_rejects_inhomogeneous(block, stray):
-    # the stray color sits on a vertex before the block, or on one after it
-    g = join(new_monochromatic(5, 4, 1), new_monochromatic(5, 4, 1), 2)
-    g.set_color(*stray, 3)
-    with pytest.raises(ParameterError, match=f"vertex {stray[0]} sees colors \\[2, 3\\]"):
-        substitute_part(g, block, new_monochromatic(5, 4, 1))
-
-
-def test_substitute_part_rejects_non_consecutive_part():
-    g = join(new_monochromatic(5, 4, 1), new_monochromatic(5, 4, 1), 2)
-    with pytest.raises(ParameterError, match="consecutive"):
-        substitute_part(g, [5, 6, 8], new_monochromatic(3, 4, 1))
-
-
-@pytest.mark.property_based
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=40, derandomize=True)
-def test_substitute_part_round_trip(seed):
-    # splicing a same-size replacement in and the original block back is identity
-    rng = random.Random(seed)
-    n = rng.randint(4, 12)
-    g = random_graph(rng, n, 3)
-    a = rng.randrange(n - 1)
-    b = rng.randint(a + 1, n)
-    block = list(range(a, b))
-    for w in range(n):
-        if w not in block:
-            c = g.color(w, block[0])
-            for p in block[1:]:
-                g.set_color(w, p, c)
-    # the block's own coloring: the start of each member's row
-    original = ColoredCompleteGraph(b - a, 3, b"".join(g.row_bytes(p)[: b - p - 1] for p in block))
-    repl = random_graph(rng, len(block), 3)
-    h = substitute_part(g, block, repl)
-    assert h.n == g.n
-    assert substitute_part(h, block, original) == g
 
 
 def test_round_trip_small_example(tmp_path):
@@ -437,7 +375,7 @@ def _assert_rows_match_colors(g):
     for v in range(g.n):
         for c in range(1, g.k + 1):
             members = {w for w in range(g.n) if w != v and g.color(v, w) == c}
-            assert g.row(v, c) == sum(1 << w for w in members)
+            assert g.rows(c)[v] == sum(1 << w for w in members)
             assert _neighborhood(g, v, c) == frozenset(members)
 
 

@@ -26,7 +26,6 @@ from gallai_ramsey.patterns import (
     brute_force_contains_S,
     disjoint_edges,
     find_mono_S,
-    find_mono_fan,
     scan_rainbow_triangle,
 )
 from helpers import (
@@ -46,8 +45,6 @@ from helpers import (
 
 def test_spattern_validation():
     assert SPattern(6, 2).pendant_count == 1
-    assert SPattern(4, 0).is_star
-    assert SPattern(7, 3).is_fan and SPattern(7, 2).is_fan is False
     for t, r in [(1, 0), (4, 2), (5, 3), (3, -1)]:
         with pytest.raises(ParameterError):
             SPattern(t, r)
@@ -308,21 +305,16 @@ def test_detector_monotone_in_pattern_size():
 
 def test_fan_one_is_triangle_detection():
     g = _graph_with_colored_edges(4, 2, 1, [(0, 1), (1, 2), (0, 2)], 2)
-    w = find_mono_fan(g, 1, 1)
+    w = find_mono_S(g, 1, SPattern(3, 1))
     assert w is not None and w.validate(g, SPattern(3, 1))
     g2 = _graph_with_colored_edges(4, 2, 1, [(0, 1), (1, 2), (2, 3)], 2)
-    assert find_mono_fan(g2, 1, 1) is None
+    assert find_mono_S(g2, 1, SPattern(3, 1)) is None
 
 
 def test_fan_in_complete_host():
     g = new_monochromatic(7, 2, 1)
-    w = find_mono_fan(g, 1, 3)
+    w = find_mono_S(g, 1, SPattern(7, 3))
     assert w is not None and w.validate(g, SPattern(7, 3))
-
-
-def test_fan_rejects_bad_size():
-    with pytest.raises(ParameterError):
-        find_mono_fan(new_monochromatic(3, 2, 1), 1, 0)
 
 
 # -- structured part properties -------------------------------------------------
@@ -340,7 +332,7 @@ def test_fan_appears_in_bounded_parts_graphs():
         g = random_parts_graph(
             rng, max_part=max(1, m - 1), min_total=4 * m - 3, k=k, between_color=c
         )
-        w = find_mono_fan(g, c, m)
+        w = find_mono_S(g, c, SPattern(2 * m + 1, m))
         assert w is not None and w.validate(g, SPattern(2 * m + 1, m))
 
 

@@ -227,30 +227,24 @@ ALL_PATTERNS = [SPattern(t, r) for t in range(2, 8) for r in range((t - 1) // 2 
 def test_search_agrees_with_the_per_vector_reference(tmp_path):
     """Prefixes colored edge by edge, with pruned blocks counted unvisited,
     give the results of stepping through every whole color vector."""
-    cases = [(n, p, None, True, True) for n in range(2, 9) for p in ALL_PATTERNS]
-    cases += [(n, p, None, prune, sym) for n in range(2, 7) for p in ALL_PATTERNS
-              for prune, sym in ((False, True), (True, False), (False, False))]
+    cases = [(n, p, None) for n in range(2, 9) for p in ALL_PATTERNS]
     # stops inside a block of completions counted at once, and on its edges
-    cases += [(9, SPattern(5, 2), SearchBudget(max_nodes=m), True, True)
+    cases += [(9, SPattern(5, 2), SearchBudget(max_nodes=m))
               for m in (1, 2, 37, 500, 4096, 4097, 100_000)]
-    cases += [(8, p, SearchBudget(max_nodes=m), True, True)
-              for p in ALL_PATTERNS for m in (37, 500)]
-    for n, p, budget, prune, sym in cases:
-        got = exhaustive_witness_search(n, p, budget, prune=prune, break_symmetry=sym)
-        want = exhaustive_witness_search_reference(n, p, budget, prune=prune, break_symmetry=sym)
-        assert _result(got, tmp_path) == _result(want, tmp_path), (n, p, budget, prune, sym)
+    cases += [(8, p, SearchBudget(max_nodes=m)) for p in ALL_PATTERNS for m in (37, 500)]
+    for n, p, budget in cases:
+        got = exhaustive_witness_search(n, p, budget)
+        want = exhaustive_witness_search_reference(n, p, budget)
+        assert _result(got, tmp_path) == _result(want, tmp_path), (n, p, budget)
 
 
 def test_collected_leaves_agree_with_the_per_vector_reference():
-    flags = [(True, True), (False, True), (True, False), (False, False)]
-    cases = [(n, p, prune, sym) for n in range(2, 6) for p in ALL_PATTERNS
-             for prune, sym in flags]
-    cases += [(6, p, prune, True) for p in ALL_PATTERNS for prune in (True, False)]
-    for n, p, prune, sym in cases:
-        got, want = [], []
-        exhaustive_witness_search(n, p, prune=prune, break_symmetry=sym, collect=got)
-        exhaustive_witness_search_reference(n, p, prune=prune, break_symmetry=sym, collect=want)
-        assert got == want, (n, p, prune, sym)
+    for n in range(2, 7):
+        for p in ALL_PATTERNS:
+            got, want = [], []
+            exhaustive_witness_search(n, p, collect=got)
+            exhaustive_witness_search_reference(n, p, collect=want)
+            assert got == want, (n, p)
 
 
 def test_budget_and_bounds_validation():
@@ -259,17 +253,22 @@ def test_budget_and_bounds_validation():
     with pytest.raises(ParameterError):
         SearchBudget(max_time=-1.0)
     with pytest.raises(ParameterError):
+        SearchBudget(max_time=float("nan"))
+    with pytest.raises(ParameterError):
+        SearchBudget(max_nodes=float("nan"))
+    with pytest.raises(ParameterError):
         exhaustive_witness_search(1, K3)
     with pytest.raises(ParameterError):
         exhaustive_witness_search(61, K3)
 
 
 def test_flag_equivalence_on_tiny_inputs():
+    # only the reference search can switch pruning and symmetry breaking off
     for n in (4, 5, 6):
         base = exhaustive_witness_search(n, K3)
         for prune in (False, True):
             for sym in (False, True):
-                out = exhaustive_witness_search(n, K3, prune=prune, break_symmetry=sym)
+                out = exhaustive_witness_search_reference(n, K3, prune=prune, break_symmetry=sym)
                 assert out.status == base.status
                 if out.witness is not None:
                     for c in (1, 2):
