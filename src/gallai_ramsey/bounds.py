@@ -7,7 +7,9 @@ expressions for the same quantity disagree; both values are then
 reported, the alternate embedded in the caveat string.
 
 Every k-color evaluator refuses k outside the package's color range 1..255
-(``check_order(1, k)``) before it evaluates a power of 5 in k.
+and t above ``MAX_ORDER`` (``check_order(t, k)``, t = 1 for the fixed
+patterns) before it evaluates a power of 5 in k, after the pattern's own
+domain check.
 """
 
 from __future__ import annotations
@@ -114,9 +116,9 @@ def gr_S82(k: int) -> BoundValue:
 
 def gr_St2_bounds(k: int, t: int) -> tuple[BoundValue, BoundValue]:
     """Lower/upper pair for the k-color Gallai-Ramsey number of S_t^2."""
-    check_order(1, k)
     if t < 5:
         raise ParameterError("S_t^2 needs t >= 5")
+    check_order(t, k)
     valid = t >= 6
     if k % 2 == 0:
         e = 5 ** ((k - 2) // 2)
@@ -135,9 +137,9 @@ def gr_Str_bounds(k: int, t: int, r: int) -> tuple[BoundValue, BoundValue]:
     k=2 the upper formula can exceed the known two-color exact value;
     that value is then attached as a caveat rather than substituted.
     """
-    check_order(1, k)
     if r < 1 or t - 1 < 2 * r:
         raise ParameterError(f"no S_{t}^{r} pattern: need 1 <= r <= (t-1)/2")
+    check_order(t, k)
     valid = t >= 6 * r - 5
     if k % 2 == 0:
         e = 5 ** ((k - 2) // 2)

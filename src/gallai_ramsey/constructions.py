@@ -15,18 +15,17 @@ from its blocks, plain or matched.
 
 Every builder re-checks its output with the detectors (no rainbow triangle,
 no monochromatic S_t^r in any color) unless ``verify=False`` is passed, and
-always checks the assembled order against an independently evaluated closed
-form.
+always checks the assembled order against the bound in ``bounds`` that the
+tower witnesses: its order is that bound minus one.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
+from .bounds import BoundValue, gr_S62, gr_S82, gr_Str_bounds, ramsey_Str
 from .colored_graph import (
     ColoredCompleteGraph,
     ParameterError,
@@ -48,9 +47,7 @@ class ConstructionReport:
     """A built coloring together with its certified properties."""
 
     graph: ColoredCompleteGraph
-    predicted_order: int
     family: str
-    k: int
     t: int
     r: tuple[int, ...]
     verified: bool
@@ -59,7 +56,7 @@ class ConstructionReport:
         r_txt = ",".join(str(x) for x in self.r)
         tail = "rainbow=none monoS=none" if self.verified else "rainbow=skipped monoS=skipped"
         return (
-            f"family={self.family} k={self.k} t={self.t} r={r_txt} "
+            f"family={self.family} k={self.graph.k} t={self.t} r={r_txt} "
             f"order={self.graph.n} {tail}"
         )
 
@@ -79,79 +76,36 @@ def _certify(g: ColoredCompleteGraph, t: int, rs: Sequence[int], family: str) ->
                 )
 
 
-def _finish(
-    family: str, g: ColoredCompleteGraph, predicted: int, t: int, rs: tuple[int, ...], verify: bool
-) -> ConstructionReport:
-    """Check the assembled order, certify g unless told not to, and report it."""
-    if g.n != predicted:
-        raise ConstructionError(f"{family}: assembled {g.n} vertices, expected {predicted}")
-    if verify:
-        _certify(g, t, rs, family)
-    return ConstructionReport(
-        graph=g, predicted_order=predicted, family=family, k=g.k, t=t, r=rs, verified=verify
-    )
-
-
-def _planned_order(k: int, order: Callable[[], int]) -> int:
-    """``order()``, the order a tower in k colors will have, once it can be held."""
-    check_order(1, k)  # orders are powers of 5 in k: bound k before evaluating one
-    n = order()
+def _order_below(bound: BoundValue, k: int) -> int:
+    """The order of a tower that witnesses ``bound``, once a graph that large can be held."""
+    n = bound.value - 1
     check_order(n, k)
     return n
 
 
-def _exact_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise AssertionError(f"{what} evaluated to non-integer {x}")
-    return int(x)
-
-
-def _five(exp: int) -> Fraction:
-    return Fraction(5) ** exp
-
-
-def predicted_general_order(k: int, t: int) -> int:
-    """Order of the plain tower: (t-1)*5^((k-1)/2), doubled for even k."""
-    if k < 1 or t < 2:
-        raise ParameterError(f"need k >= 1 and t >= 2, got k={k}, t={t}")
-    if k % 2 == 1:
-        return (t - 1) * 5 ** ((k - 1) // 2)
-    return 2 * (t - 1) * 5 ** ((k - 2) // 2)
-
-
-def predicted_g62_order(k: int) -> int:
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
-    if k % 2 == 0:
-        return _exact_int(Fraction(41, 4) * _five((k - 2) // 2) - Fraction(1, 4), "g62 order")
-    return math.ceil(Fraction(51, 10) * _five((k - 1) // 2) - Fraction(1, 2))
-
-
-def predicted_g82_order(k: int) -> int:
-    if k < 2:
-        raise ParameterError(f"need k >= 2, got {k}")
-    if k == 2:
-        return 14
-    if k % 2 == 0:
-        val = 14 * _five((k - 2) // 2) + Fraction(1, 2) * _five((k - 4) // 2) - Fraction(1, 2)
-    else:
-        val = 7 * _five((k - 1) // 2) + Fraction(1, 4) * _five((k - 3) // 2) - Fraction(1, 4)
-    return _exact_int(val, "g82 order")
+def _finish(
+    family: str, g: ColoredCompleteGraph, order: int, t: int, rs: tuple[int, ...], verify: bool
+) -> ConstructionReport:
+    """Check the assembled order, certify g unless told not to, and report it."""
+    if g.n != order:
+        raise ConstructionError(f"{family}: assembled {g.n} vertices, expected {order}")
+    if verify:
+        _certify(g, t, rs, family)
+    return ConstructionReport(graph=g, family=family, t=t, r=rs, verified=verify)
 
 
 def two_clique_witness(t: int, verify: bool = True) -> ConstructionReport:
     """Two K_{t-1} cliques in color 1 with all color-2 edges between them.
 
-    Avoids S_t^r in both colors for every r >= 1 with t-1 >= 2r: the clique
-    color has components of order t-1 < t and the cross color is bipartite,
-    hence triangle-free.
+    This is the general tower at level 2 in 2 colors.  Avoids S_t^r in both
+    colors for every r >= 1 with t-1 >= 2r: the clique color has components
+    of order t-1 < t and the cross color is bipartite, hence triangle-free.
     """
     if t < 3:
         raise ParameterError(f"need t >= 3, got {t}")
-    check_order(2 * t - 2, 2)
-    half = new_monochromatic(t - 1, 2, 1)
+    order = _order_below(gr_Str_bounds(2, t, 1)[0], 2)  # before anything sized by t
     rs = tuple(range(1, (t - 1) // 2 + 1))
-    return _finish("two-clique", join(half, half, 2), 2 * t - 2, t, rs, verify)
+    return _finish("two-clique", _general_core(2, t, 2), order, t, rs, verify)
 
 
 def matched_clique(
@@ -265,8 +219,8 @@ def build_general_lower(
     for rr in rs:
         if not 1 <= rr <= (t - 1) // 2:
             raise ParameterError(f"pattern needs 1 <= r <= (t-1)/2, got r={rr} with t={t}")
-    predicted = _planned_order(k, lambda: predicted_general_order(k, t))
-    return _finish("general", _general_core(k, t, k), predicted, t, rs, verify)
+    order = _order_below(gr_Str_bounds(k, t, 1)[0], k)  # the lower bound does not depend on r
+    return _finish("general", _general_core(k, t, k), order, t, rs, verify)
 
 
 def build_G62(k: int, verify: bool = True) -> ConstructionReport:
@@ -283,8 +237,8 @@ def build_G62(k: int, verify: bool = True) -> ConstructionReport:
     """
     if k < 2:
         raise ParameterError(f"need k >= 2, got {k}")
-    predicted = _planned_order(k, lambda: predicted_g62_order(k))
-    return _finish("g62", _swap_tower(k, k, 5, _g62_swaps(k)), predicted, 6, (2,), verify)
+    order = _order_below(gr_S62(k), k)
+    return _finish("g62", _swap_tower(k, k, 5, _g62_swaps(k)), order, 6, (2,), verify)
 
 
 def build_G82(k: int, verify: bool = True) -> ConstructionReport:
@@ -299,5 +253,6 @@ def build_G82(k: int, verify: bool = True) -> ConstructionReport:
     """
     if k < 2:
         raise ParameterError(f"need k >= 2, got {k}")
-    predicted = _planned_order(k, lambda: predicted_g82_order(k))
-    return _finish("g82", _swap_tower(k, k, 7, _g82_swaps(k)), predicted, 8, (2,), verify)
+    # in 2 colors the Gallai-Ramsey number is the Ramsey number
+    order = _order_below(ramsey_Str(8, 2) if k == 2 else gr_S82(k), k)
+    return _finish("g82", _swap_tower(k, k, 7, _g82_swaps(k)), order, 8, (2,), verify)

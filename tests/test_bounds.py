@@ -12,9 +12,10 @@ from gallai_ramsey.bounds import (
 )
 from gallai_ramsey.colored_graph import ParameterError
 from gallai_ramsey.constructions import (
-    predicted_g62_order,
-    predicted_g82_order,
-    predicted_general_order,
+    build_G62,
+    build_G82,
+    build_general_lower,
+    two_clique_witness,
 )
 
 GR_S62 = {2: 11, 3: 26, 4: 52, 5: 128, 6: 257, 7: 638}
@@ -126,10 +127,10 @@ def test_formulas_integral_up_to_k20():
         assert isinstance(gr_S62(k).value, int)
         if k >= 3:
             assert isinstance(gr_S82(k).value, int)
-        for t in (6, 9, 30):
+        for t in (6, 7, 8, 9, 13, 30):
             lo, hi = gr_St2_bounds(k, t)
             assert lo.value >= 1 and hi.value >= 1
-        for t, r in ((13, 3), (19, 4), (30, 4)):
+        for t, r in ((7, 1), (8, 1), (13, 1), (13, 3), (19, 4), (30, 4)):
             lo, hi = gr_Str_bounds(k, t, r)
             assert lo.value >= 1 and hi.value >= 1
 
@@ -147,16 +148,19 @@ def test_lower_le_upper_sweep():
 
 
 def test_bounds_match_construction_orders():
+    # each bound is one more than the order of the tower built to witness it
     for k in range(2, 9):
-        assert gr_S62(k).value == predicted_g62_order(k) + 1
+        assert gr_S62(k).value == build_G62(k, verify=False).graph.n + 1
         if k >= 3:
-            assert gr_S82(k).value == predicted_g82_order(k) + 1
+            assert gr_S82(k).value == build_G82(k, verify=False).graph.n + 1
+    assert ramsey_Str(8, 2).value == build_G82(2, verify=False).graph.n + 1
     for k in range(1, 7):
         for t in (6, 7, 10, 13, 25):
-            lo, _ = gr_St2_bounds(k, t)
-            assert lo.value == predicted_general_order(k, t) + 1
-            lo, _ = gr_Str_bounds(k, t, 2)
-            assert lo.value == predicted_general_order(k, t) + 1
+            n = build_general_lower(k, t, 1, verify=False).graph.n
+            assert gr_St2_bounds(k, t)[0].value == n + 1
+            assert gr_Str_bounds(k, t, 2)[0].value == n + 1
+    for t in range(7, 13):  # 2t - 1 is sharp for r = 2 from t = 7 on
+        assert ramsey_Str(t, 2).value == two_clique_witness(t, verify=False).graph.n + 1
 
 
 def test_bound_value_rejects_bad_fields():

@@ -67,6 +67,14 @@ def test_bounds_refuse_k_past_the_color_cap(k, t, r, capsys):
     assert capsys.readouterr().err == f"error: color count must be in 1..255, got {k}\n"
 
 
+@pytest.mark.parametrize("t", [MAX_ORDER + 1, int("9" * 4290)], ids=["cap+1", "4290-digits"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_bounds_refuse_t_past_the_order_cap(t, r, capsys):
+    # (t-1)*5^126 has more digits than str() converts; the refusal comes first
+    assert run(["bounds", "--k", "254", "--t", str(t), "--r", str(r)]) == 2
+    assert capsys.readouterr().err == f"error: vertex count must be in 1..{MAX_ORDER}, got {t}\n"
+
+
 def test_construct_writes_partition_reduce_roundtrip(tmp_path, capsys):
     gpath = str(tmp_path / "g.txt")
     rpath = str(tmp_path / "red.txt")

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gallai_ramsey.bounds import gr_S62, gr_S82, gr_Str_bounds, ramsey_Str
 from gallai_ramsey.colored_graph import ParameterError, write_graph
 from gallai_ramsey.constructions import (
     ConstructionError,
@@ -12,9 +13,6 @@ from gallai_ramsey.constructions import (
     build_G82,
     build_general_lower,
     matched_clique,
-    predicted_g62_order,
-    predicted_g82_order,
-    predicted_general_order,
     two_clique_witness,
 )
 from gallai_ramsey.search import random_gallai_sampler
@@ -27,7 +25,6 @@ def test_g62_order_table():
     for k, want in G62_ORDERS.items():
         rep = build_G62(k, verify=False)
         assert rep.graph.n == want
-        assert rep.predicted_order == want
         assert rep.graph.k == k
 
 
@@ -35,7 +32,6 @@ def test_g82_order_table():
     for k, want in G82_ORDERS.items():
         rep = build_G82(k, verify=False)
         assert rep.graph.n == want
-        assert rep.predicted_order == want
         assert rep.graph.k == k
 
 
@@ -52,36 +48,34 @@ def test_g82_small_builds_certify():
         assert rep.verified
 
 
+def _g62_order(k):
+    return gr_S62(k).value - 1
+
+
+def _g82_order(k):
+    return (ramsey_Str(8, 2) if k == 2 else gr_S82(k)).value - 1
+
+
 def test_g62_recursion_law():
+    # the closed form, past the buildable orders, against the tower's growth:
     # +2 vertices at odd levels (two block swaps), +1 at even levels (one)
     for k in range(4, 16):
-        prev = predicted_g62_order(k - 2)
         bump = 2 if k % 2 == 1 else 1
-        assert predicted_g62_order(k) == 5 * prev + bump
+        assert _g62_order(k) == 5 * _g62_order(k - 2) + bump
 
 
 def test_g82_recursion_law():
     # no swaps through level 4, one at odd levels >= 5, two at even >= 6
-    assert predicted_g82_order(4) == 5 * predicted_g82_order(2)
+    assert _g82_order(4) == 5 * _g82_order(2)
     for k in range(5, 16):
-        prev = predicted_g82_order(k - 2)
         bump = 1 if k % 2 == 1 else 2
-        assert predicted_g82_order(k) == 5 * prev + bump
-
-
-def test_predicted_orders_are_exact_integers_up_to_20():
-    for k in range(2, 21):
-        assert predicted_g62_order(k) > 0
-        assert predicted_g82_order(k) > 0
-    for k in range(1, 21):
-        for t in (6, 7, 8, 13):
-            assert predicted_general_order(k, t) > 0
+        assert _g82_order(k) == 5 * _g82_order(k - 2) + bump
 
 
 def test_two_clique_witness():
     rep = two_clique_witness(6)
     assert rep.graph.n == 10
-    assert rep.k == 2 and rep.t == 6 and rep.r == (1, 2)
+    assert rep.graph.k == 2 and rep.t == 6 and rep.r == (1, 2)
     assert rep.verified
     assert rep.graph.color(0, 1) == 1
     assert rep.graph.color(0, 5) == 2
@@ -108,10 +102,11 @@ def test_general_lower_orders():
     assert build_general_lower(1, 7, 1, verify=False).graph.n == 6
     assert build_general_lower(3, 7, verify=False).graph.n == 30
     assert build_general_lower(4, 7, verify=False).graph.n == 60
+    # the tower's own growth: K_{t-1}, a join of two copies, then five copies a level pair
     for t in (6, 7, 9, 13):
-        for k in range(1, 6):
-            rep = build_general_lower(k, t, 1, verify=False)
-            assert rep.graph.n == predicted_general_order(k, t)
+        orders = [build_general_lower(k, t, 1, verify=False).graph.n for k in range(1, 6)]
+        assert orders[:2] == [t - 1, 2 * (t - 1)]
+        assert all(orders[k] == 5 * orders[k - 2] for k in range(2, 5))
 
 
 def test_general_lower_certifies_multiple_r():
@@ -172,7 +167,7 @@ def test_build_errors():
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=4, max_value=15))
 def test_general_order_formula_matches_graph(k, t):
     rep = build_general_lower(k, t, 1, verify=False)
-    assert rep.graph.n == rep.predicted_order == predicted_general_order(k, t)
+    assert rep.graph.n == gr_Str_bounds(k, t, 1)[0].value - 1
     assert rep.graph.k == k
     assert set(rep.graph.used_colors()) <= set(range(1, k + 1))
 
@@ -200,6 +195,11 @@ PINNED_SHA256 = {
     ("g82", 7): "9de9ed6fea99cbfdbaf4703cdf8de3c0f52e42c7c81fd37e4935ece66d16fc74",
     ("g82", 8): "ad1c311b83bfb02927a07b13e46828dbdf3997376d96ab51055d247bc56df0f4",
     ("g82", 9): "cbd1b212c21fa3a4b9f61e54c7373eaaf43b3397bfdbf0d78ea277e8b9894bfd",
+    # captured before the two-clique witness was built as the general tower's level 2
+    ("two-clique", 3): "0db96330eac59c1446c2df078f32054add888fefcf1f76b5b53e34932ee2b143",
+    ("two-clique", 6): "c1206af025482a94122469a30bb7c24ddae573e4b00a2243a4c0c57c532e6afe",
+    ("two-clique", 7): "16a9d853418b6df5875d807632378036cf6b67569e42ed2f0bd9e6e27421b6eb",
+    ("two-clique", 12): "5e22f937b599e1d84ff0c45342a5041b0ee3178971ed96040cc44dac9c9db414",
     ("general", 1, 6): "45bd5218d75c0358023b8811e2801b6ba2e8edf0567a24ed025e5a0de5e10cf7",
     ("general", 1, 7): "cd7e5477cf11822869cb0ce587b5974fe9694c19153580e7eb62d9e905dfef16",
     ("general", 1, 9): "8a81c695a060f7cc1a396634355b4b34397deb726c8679d040baf7430ba4840a",
@@ -244,6 +244,8 @@ def _build(key):
     if family == "general":
         k, t = args
         return build_general_lower(k, t, 1, verify=False).graph
+    if family == "two-clique":
+        return two_clique_witness(*args, verify=False).graph
     build = build_G62 if family == "g62" else build_G82
     return build(*args, verify=False).graph
 
