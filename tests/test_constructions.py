@@ -72,6 +72,17 @@ def test_g82_recursion_law():
         assert _g82_order(k) == 5 * _g82_order(k - 2) + bump
 
 
+def test_predicted_orders_are_exact_integers_up_to_20():
+    # the orders the builders read from the bounds, well past the buildable sizes
+    for k in range(2, 21):
+        assert isinstance(_g62_order(k), int) and _g62_order(k) > 0
+        assert isinstance(_g82_order(k), int) and _g82_order(k) > 0
+    for k in range(1, 21):
+        for t in (6, 7, 8, 13):
+            n = gr_Str_bounds(k, t, 1)[0].value - 1
+            assert isinstance(n, int) and n > 0
+
+
 def test_two_clique_witness():
     rep = two_clique_witness(6)
     assert rep.graph.n == 10
