@@ -2,26 +2,49 @@
 seeded generator of rainbow-triangle-free colorings.
 
 The search decides whether some red/blue coloring of K_n avoids a
-monochromatic target pattern in both colors.  Vertices are added one at a
-time, and a node is one color vector of the new vertex v, taken in
+monochromatic target pattern S_t^r in both colors.  Vertices are added one
+at a time, and a node is one color vector of the new vertex v, taken in
 lexicographic order (color 1 before color 2, edge {0, v} most significant).
 The vector is built one edge at a time, {0, v} up to {v-1, v}, in two lists of
-bitset rows indexed by vertex id.  The colored graph was pattern-free before
-each edge, so adding {i, v} in color c can only create a center of that color
-at v, at i, or at a common c-neighbor of both, which gained {i, v} inside its
-neighborhood; only those are tested.  Containing the pattern is
-monotone in the edge set, so when a prefix of i + 1 edges holds it, all
-2^(v-1-i) completions do too: they are counted as nodes without being
-visited.  The survivors, the node count, the order and the node at which a
-node budget stops are those of stepping through every whole vector.
+bitset rows indexed by vertex id.  A center holds S_t^r when its color class
+gives it at least t-1 neighbors spanning r disjoint edges.
 
-A center holds S_t^r when its color class gives it at least t-1 neighbors
-spanning r disjoint edges, which ``patterns.disjoint_edges`` decides on the
-rows as they are, with no relabeling (at r = 2 its linear test is bound
-directly).  Its answer is exact whichever stage gives it, so the pruning, the
-node counts and the witnesses do not depend on the stage, and its step cap
-keeps the branching's exponential worst case from stalling the search
-between two deadline checks.
+The old vertices u < v do not change while v's vector is built, so their part
+of each test is read from tables built once per parent.  With N = N_c(u) among
+the old vertices and d = |N|:
+
+- F_c holds u when d + 1 >= t - 1 and nu(N) >= r: edge {u, v} cannot take c;
+- A_c(u), for r >= 1, is the set of y in N with d + 1 >= t - 1 and
+  nu(N - y) >= r - 1: {u, v} and {y, v} cannot both take c, as the edge
+  {y, v} would complete the pattern at u;
+- Q_c = A_c plus its transpose: the pairs {u, y} of old vertices whose edges
+  to v cannot share color c, whichever end the pattern forms at.
+
+The colored graph was pattern-free before each edge, so adding {i, v} in
+color c creates a center at i or at a common c-neighbor of i and v exactly
+when i is in F_c or Q_c[i] meets R_c, v's c-neighbors so far; v itself is
+tested on its row when it reaches t - 1 c-neighbors or when i brings an edge
+into that row.  Both conditions are read off one mask per color,
+Forb_c = F_c | Q_c[y] for y in R_c, grown by one OR per edge, and Forb_c
+also looks ahead: a later edge {j, v} with j in Forb_1 and Forb_2 has no
+color left, so the prefix is pruned before it holds the pattern.  At r = 2
+the tables need no matching: each neighborhood keeps whether an edge lies
+inside it, the vertices that touch every such edge (its cover) and whether
+two disjoint edges do; these change only where v joins, so A_c(u) is N minus
+the cover and F_c needs d = t - 2 and two disjoint edges.  As the tables only
+grow down the tree, a child's Q adds the pairs whose A gained a member.
+Other r call ``patterns.disjoint_edges`` (whose linear test at r = 2 also
+serves the test at v).
+
+Containing the pattern is monotone in the edge set, so every completion of a
+pruned prefix of i + 1 edges holds it: its 2^(v-1-i) completions are counted
+as nodes without being visited, ``prunes_by_depth`` counting the block once.
+A pruned block holds no survivor and takes its place in lexicographic order;
+the look-ahead only makes such blocks start sooner.  So the survivors, the
+node counts per depth, the order and the node at which a node budget stops
+are those of stepping through every whole vector, for any mix of stages.  The
+matching test's step cap keeps the branching's exponential worst case from
+stalling the search between two deadline checks.
 
 Symmetry breaking is deliberately lightweight and loses no outcomes: swapping
 the two colors and permuting vertices preserve pattern-freeness, so edge
@@ -35,10 +58,16 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError, blowup, check_order
+from gallai_ramsey.colored_graph import (
+    ColoredCompleteGraph,
+    ParameterError,
+    blowup,
+    check_order,
+    iter_bits,
+)
 from gallai_ramsey.gallai import find_rainbow_triangle
 from gallai_ramsey.patterns import (
     RainbowTriangle,
@@ -62,6 +91,8 @@ class SearchBudget:
     max_time: float = 3600.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_nodes, int):
+            raise ParameterError(f"max_nodes must be an int, got {self.max_nodes!r}")
         if not (self.max_nodes > 0 and self.max_time > 0):  # also refuses NaN
             raise ParameterError("budget limits must be positive")
 
@@ -69,13 +100,35 @@ class SearchBudget:
 @dataclass
 class SearchOutcome:
     """Result of the search; ``nodes_by_depth[v]`` counts the color vectors
-    of vertex v, so the list sums to ``nodes_explored``."""
+    of vertex v, so the list sums to ``nodes_explored``, and
+    ``prunes_by_depth[v]`` counts the prefixes of v's vector that were
+    pruned, each one block of completions counted unvisited (a whole vector
+    that holds the pattern is a block of one)."""
 
     status: str
     witness: Optional[ColoredCompleteGraph]
     nodes_explored: int
     elapsed: float
     nodes_by_depth: list[int]
+    prunes_by_depth: list[int] = field(default_factory=list)
+
+
+# state of a neighborhood N at r = 2: the bits of the vertices that touch
+# every edge inside N (its cover), plus these two flags; 0 means no edge
+_HAS = 1 << 60  # an edge lies inside N
+_NU2 = 1 << 61  # two disjoint edges lie inside N
+_FLAGS = _HAS | _NU2
+
+
+def _join(state: int, x: int, bit: int) -> int:
+    """The state of N after the vertex `bit` joins it, x being its neighbors
+    in N; callers skip x = 0, which leaves the state as it was."""
+    single = not x & (x - 1)
+    if state & _HAS:
+        if x & ~state:  # an edge {bit, y} misses the old edge that avoids y
+            state |= _NU2
+        return state & (x | _FLAGS) if single else state & _FLAGS
+    return _HAS | bit | x if single else _HAS | bit
 
 
 def exhaustive_witness_search(
@@ -100,6 +153,7 @@ def exhaustive_witness_search(
     if budget is None:
         budget = SearchBudget()
     min_deg, r = p.t - 1, p.r
+    lo = min_deg - 1  # an old vertex with lo c-neighbors reaches min_deg through v
     # every center tested has min_deg >= 2r neighbors, so need=2 needs no size check
     holds = _two_edges if r == 2 else lambda rc, mu: disjoint_edges(rc, mu, r)
     max_nodes = budget.max_nodes
@@ -108,21 +162,89 @@ def exhaustive_witness_search(
     red, blue = [0] * n, [0] * n
     nodes = 0
     by_depth = [0] * n
+    prunes = [0] * n
     # the next node count at which the budget is looked at: max_nodes, or the
     # next multiple of 1024, where the clock is read
     limit = min(max_nodes, 1024)
     status = EXHAUSTED_NONE
     witness: Optional[ColoredCompleteGraph] = None
 
-    def center_in(rc: list[int], centers: int) -> bool:
-        """Is some vertex of the `centers` bitset a center of the pattern in rc?"""
-        while centers:
-            low = centers & -centers
-            centers ^= low
-            mu = rc[low.bit_length() - 1]
-            if mu.bit_count() >= min_deg and holds(rc, mu) is not None:
-                return True
-        return False
+    def tables(rows: list[int], w: int) -> tuple[int, list[int]]:
+        """F and Q of one color for the new vertex w, from the rows of the
+        vertices below it; any r."""
+        f, q = 0, [0] * n
+        for u in range(w):
+            nb = rows[u]
+            if nb.bit_count() < lo:
+                continue
+            if disjoint_edges(rows, nb, r) is not None:
+                f |= 1 << u
+            if r:
+                a = 0
+                for y in iter_bits(nb):
+                    if disjoint_edges(rows, nb ^ (1 << y), r - 1) is not None:
+                        a |= 1 << y
+                q[u] |= a
+                for y in iter_bits(a):
+                    q[y] |= 1 << u
+        return f, q
+
+    def grow(v: int, tabs: tuple) -> tuple:
+        """The tables for vertex v + 1, once v's vector is whole.
+
+        At r = 2 they grow from v's: only the neighborhoods v joins change,
+        A(u) and F only gain members, so Q gains the new pairs alone.
+        """
+        if r != 2:
+            return (*tables(red, v + 1), None, *tables(blue, v + 1), None)
+        bit_v = 1 << v
+        out: list = []
+        for rows, (f, q, state) in ((red, tabs[:3]), (blue, tabs[3:])):
+            q, state = q[:], state[:]
+            mine = rows[v]
+            own = 0  # the state of mine, built as its members join
+            qv = 0  # Q[v]
+            left = mine
+            while left:
+                bit_u = left & -left
+                left ^= bit_u
+                u = bit_u.bit_length() - 1
+                nb = rows[u] ^ bit_v
+                x = nb & mine
+                if x & (bit_u - 1):
+                    own = _join(own, x & (bit_u - 1), bit_u)
+                old = state[u]
+                new = state[u] = _join(old, x, bit_v) if x else old
+                d = nb.bit_count() + 1
+                if d < lo or not new & _HAS:
+                    continue
+                if new & _NU2:
+                    f |= bit_u
+                # what A(u) gains: A(u) is N(u) off its cover, once d >= lo
+                gain = (nb | bit_v) & ~new
+                if old & _HAS and d > lo:
+                    gain ^= nb & ~old
+                q[u] |= gain
+                if gain & bit_v:
+                    qv |= bit_u
+                    gain ^= bit_v
+                while gain:
+                    low = gain & -gain
+                    gain ^= low
+                    q[low.bit_length() - 1] |= bit_u
+            state[v] = own
+            if own & _HAS and mine.bit_count() >= lo:
+                if own & _NU2:
+                    f |= bit_v
+                gain = mine & ~own
+                qv |= gain
+                while gain:
+                    low = gain & -gain
+                    gain ^= low
+                    q[low.bit_length() - 1] |= bit_v
+            q[v] = qv
+            out += (f, q, state)
+        return tuple(out)
 
     def out_of_budget(v: int) -> bool:
         """Called once nodes reaches limit; True stops the search."""
@@ -144,7 +266,7 @@ def exhaustive_witness_search(
                 buf.append(2 if (blue[u] >> v) & 1 else 1)
         return ColoredCompleteGraph(n, 2, buf)
 
-    def dfs(v: int) -> bool:
+    def dfs(v: int, tabs: tuple) -> bool:
         """Extend vertex v; True aborts the whole search (witness or budget)."""
         nonlocal nodes, status, witness
         if v == n:
@@ -155,11 +277,15 @@ def exhaustive_witness_search(
             status = WITNESS_FOUND
             witness = g
             return True
+        f1, q1, _, f2, q2, _ = tabs
         # edges {0, v}, ..., {v-1, v} are colored one at a time, color 1
         # first; edge {i, v} in color c is held in rc[i] and rc[v], rc being
-        # red for c = 1 and blue for c = 2
+        # red for c = 1 and blue for c = 2.  forb1[i] and forb2[i] are the
+        # look-ahead masks before edge {i, v}: F plus Q[y] for each earlier
+        # y joined to v in that color
         bit_v = 1 << v
         last = v - 1
+        forb1, forb2 = [f1] * v, [f2] * v
         c, top = 1, 2  # edge {0, v} takes the colors c..top
         if v == 1:
             top = 1  # color swap: edge {0,1} is color 1
@@ -169,24 +295,41 @@ def exhaustive_witness_search(
         rc = red if c == 1 else blue
         i, bit_i = 0, 1
         while True:
+            g1, g2 = forb1[i], forb2[i]
+            # i or a common neighbor becomes a center iff i is forbidden in c
+            if c == 1:
+                dead = g1 >> i & 1
+                g1 |= q1[i]
+            else:
+                dead = g2 >> i & 1
+                g2 |= q2[i]
+            mu = rc[v]
             rc[i] |= bit_v
-            rc[v] |= bit_i
-            # the graph was pattern-free before this edge, so a new center
-            # is v, i, or a common neighbor, which gained the edge {i, v}
-            held = center_in(rc, bit_v | bit_i | (rc[i] & rc[v]))
-            if not held and i < last:
-                i += 1
-                bit_i <<= 1
-                c, rc = 1, red
-                continue
-            # a whole vector, or a prefix that holds the pattern: containment
-            # is monotone, so its 2^(last-i) completions are counted unvisited
+            rc[v] = mu | bit_i
+            if not dead:
+                # v becomes a center only as it reaches min_deg neighbors, or
+                # when the edge {i, v} brings an edge into its neighborhood
+                k = mu.bit_count() + 1
+                if k >= min_deg and (k == min_deg or rc[i] & mu):
+                    dead = holds(rc, mu | bit_i) is not None
+                if not dead and i < last:
+                    if not (g1 & g2) >> (i + 1):
+                        i += 1
+                        bit_i <<= 1
+                        forb1[i], forb2[i] = g1, g2
+                        c, rc = 1, red
+                        continue
+                    dead = True  # a later edge is forbidden in both colors
+            # a whole vector, or a pruned prefix whose 2^(last-i)
+            # completions all hold the pattern: they are counted unvisited
             size = 1 << (last - i)
             nodes += size
             by_depth[v] += size
+            if dead:
+                prunes[v] += 1
             if nodes >= limit and out_of_budget(v):
                 return True
-            if not held and dfs(v + 1):
+            if not dead and dfs(v + 1, grow(v, tabs) if v < n - 1 else tabs):
                 return True
             # next prefix: color 2 on this edge, or back up to the last
             # edge still in color 1
@@ -202,13 +345,14 @@ def exhaustive_witness_search(
                 bit_i >>= 1
                 c, rc = (2, blue) if blue[v] & bit_i else (1, red)
 
-    dfs(1)
+    dfs(1, (*tables(red, 1), [0] * n, *tables(blue, 1), [0] * n))
     return SearchOutcome(
         status=status,
         witness=witness,
         nodes_explored=nodes,
         elapsed=time.perf_counter() - start,
         nodes_by_depth=by_depth,
+        prunes_by_depth=prunes,
     )
 
 

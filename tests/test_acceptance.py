@@ -220,6 +220,8 @@ def test_criterion_9_adjudication_at_n11():
     budget = SearchBudget(max_nodes=10**10, max_time=4 * 3600.0)
     out = exhaustive_witness_search(11, P62, budget)
     ok = out.status == "exhausted_none" and out.nodes_explored == 20_901_085
+    ok = ok and out.nodes_by_depth == [0, 1, 4, 24, 256, 5120, 102848, 1603840,
+                                       10104064, 8344576, 740352]
     _report(9, ok, f"{out.status} at n=11 ({out.nodes_explored} nodes, "
                    f"{out.elapsed:.0f}s): with the order-10 witness this pins "
                    "R(S_6^2,S_6^2)=11; the out-of-domain general formula value 15 "

@@ -197,9 +197,17 @@ def test_nodes_by_depth():
     out = exhaustive_witness_search(6, K3)
     assert out.nodes_by_depth == [0, 1, 4, 16, 48, 32]
     assert sum(out.nodes_by_depth) == out.nodes_explored == 101
+    # each pruned prefix is one block of completions counted unvisited; the
+    # look-ahead prunes some of them before they hold the pattern
+    assert out.prunes_by_depth == [0, 0, 1, 7, 20, 6]
     # a node budget stops inside a block; the depth's count stops with it
     out = exhaustive_witness_search(11, SPattern(6, 2), SearchBudget(max_nodes=200))
     assert sum(out.nodes_by_depth) == out.nodes_explored == 200
+    # the long trees: the per-vector counts, whatever the pruning
+    out = exhaustive_witness_search(9, SPattern(5, 2))
+    assert out.nodes_by_depth == [0, 1, 4, 24, 256, 3296, 35136, 254976, 1168640]
+    out = exhaustive_witness_search(13, SPattern(7, 3), SearchBudget(max_nodes=150_000))
+    assert out.nodes_by_depth == [0, 1, 1, 1, 1, 1, 32, 64, 128, 377, 433, 4002, 144959]
 
 
 def test_order_60_search_colors_its_edges_without_recursion():
@@ -232,6 +240,9 @@ def test_search_agrees_with_the_per_vector_reference(tmp_path):
     cases += [(9, SPattern(5, 2), SearchBudget(max_nodes=m))
               for m in (1, 2, 37, 500, 4096, 4097, 100_000)]
     cases += [(8, p, SearchBudget(max_nodes=m)) for p in ALL_PATTERNS for m in (37, 500)]
+    # the benchmark's searches: two witnesses and a budget stop at r = 3
+    cases += [(10, SPattern(6, 2), None), (12, SPattern(7, 2), None),
+              (13, SPattern(7, 3), SearchBudget(max_nodes=150_000))]
     for n, p, budget in cases:
         got = exhaustive_witness_search(n, p, budget)
         want = exhaustive_witness_search_reference(n, p, budget)
@@ -256,6 +267,8 @@ def test_budget_and_bounds_validation():
         SearchBudget(max_time=float("nan"))
     with pytest.raises(ParameterError):
         SearchBudget(max_nodes=float("nan"))
+    with pytest.raises(ParameterError):  # a node count is whole
+        SearchBudget(max_nodes=100.5)
     with pytest.raises(ParameterError):
         exhaustive_witness_search(1, K3)
     with pytest.raises(ParameterError):
