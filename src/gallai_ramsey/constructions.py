@@ -216,6 +216,8 @@ def build_general_lower(
     if k < 1 or t < 4:
         raise ParameterError(f"need k >= 1 and t >= 4, got k={k}, t={t}")
     rs = (r,) if isinstance(r, int) else tuple(r)
+    if not rs:
+        raise ParameterError("need at least one r to certify")
     for rr in rs:
         if not 1 <= rr <= (t - 1) // 2:
             raise ParameterError(f"pattern needs 1 <= r <= (t-1)/2, got r={rr} with t={t}")

@@ -10,13 +10,13 @@ bitset rows indexed by vertex id.  A center holds S_t^r when its color class
 gives it at least t-1 neighbors spanning r disjoint edges.
 
 The old vertices u < v do not change while v's vector is built, so their part
-of each test is read from tables built once per parent.  With N = N_c(u) among
-the old vertices and d = |N|:
+of each test is read from tables kept per parent.  With N = N_c(u) among the
+old vertices and d = |N|:
 
 - F_c holds u when d + 1 >= t - 1 and nu(N) >= r: edge {u, v} cannot take c;
-- A_c(u), for r >= 1, is the set of y in N with d + 1 >= t - 1 and
-  nu(N - y) >= r - 1: {u, v} and {y, v} cannot both take c, as the edge
-  {y, v} would complete the pattern at u;
+- A_c(u) is the set of y in N with d + 1 >= t - 1 and nu(N - y) >= r - 1:
+  {u, v} and {y, v} cannot both take c, as the edge {y, v} would complete the
+  pattern at u;
 - Q_c = A_c plus its transpose: the pairs {u, y} of old vertices whose edges
   to v cannot share color c, whichever end the pattern forms at.
 
@@ -27,14 +27,18 @@ tested on its row when it reaches t - 1 c-neighbors or when i brings an edge
 into that row.  Both conditions are read off one mask per color,
 Forb_c = F_c | Q_c[y] for y in R_c, grown by one OR per edge, and Forb_c
 also looks ahead: a later edge {j, v} with j in Forb_1 and Forb_2 has no
-color left, so the prefix is pruned before it holds the pattern.  At r = 2
-the tables need no matching: each neighborhood keeps whether an edge lies
-inside it, the vertices that touch every such edge (its cover) and whether
-two disjoint edges do; these change only where v joins, so A_c(u) is N minus
-the cover and F_c needs d = t - 2 and two disjoint edges.  As the tables only
-grow down the tree, a child's Q adds the pairs whose A gained a member.
-Other r call ``patterns.disjoint_edges`` (whose linear test at r = 2 also
-serves the test at v).
+color left, so the prefix is pruned before it holds the pattern.
+
+The tables grow down the tree, from empty ones at vertex 0.  Once v's vector
+is whole only the neighborhoods v joins change, and v's own, and F and each
+A(u) only gain members, so the child re-reads F and A at those vertices and
+adds to Q the pairs {u, y} with y new in A(u).  At r = 2 no matching is
+needed: each neighborhood keeps whether an edge lies inside it, the vertices
+that touch every such edge (its cover) and whether two disjoint edges do, so
+A_c(u) is N minus the cover and F_c needs two disjoint edges.  Other r call
+``patterns.disjoint_edges``: F on N, then, unless F_c holds u (A_c(u) = N),
+one (r-1)-matching of N, whose 2(r-1) ends are the only y that can leave
+N - y without one.  At r = 2 the test at v is the linear ``_two_edges``.
 
 Containing the pattern is monotone in the edge set, so every completion of a
 pruned prefix of i + 1 edges holds it: its 2^(v-1-i) completions are counted
@@ -91,7 +95,7 @@ class SearchBudget:
     max_time: float = 3600.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_nodes, int):
+        if not isinstance(self.max_nodes, int) or isinstance(self.max_nodes, bool):
             raise ParameterError(f"max_nodes must be an int, got {self.max_nodes!r}")
         if not (self.max_nodes > 0 and self.max_time > 0):  # also refuses NaN
             raise ParameterError("budget limits must be positive")
@@ -169,81 +173,61 @@ def exhaustive_witness_search(
     status = EXHAUSTED_NONE
     witness: Optional[ColoredCompleteGraph] = None
 
-    def tables(rows: list[int], w: int) -> tuple[int, list[int]]:
-        """F and Q of one color for the new vertex w, from the rows of the
-        vertices below it; any r."""
-        f, q = 0, [0] * n
-        for u in range(w):
-            nb = rows[u]
-            if nb.bit_count() < lo:
-                continue
-            if disjoint_edges(rows, nb, r) is not None:
-                f |= 1 << u
-            if r:
-                a = 0
-                for y in iter_bits(nb):
-                    if disjoint_edges(rows, nb ^ (1 << y), r - 1) is not None:
-                        a |= 1 << y
-                q[u] |= a
-                for y in iter_bits(a):
-                    q[y] |= 1 << u
-        return f, q
-
     def grow(v: int, tabs: tuple) -> tuple:
-        """The tables for vertex v + 1, once v's vector is whole.
-
-        At r = 2 they grow from v's: only the neighborhoods v joins change,
-        A(u) and F only gain members, so Q gains the new pairs alone.
-        """
-        if r != 2:
-            return (*tables(red, v + 1), None, *tables(blue, v + 1), None)
+        """The tables for vertex v + 1 from those for v, once v's vector is
+        whole; per color (F, Q, A, the covers at r = 2)."""
         bit_v = 1 << v
-        out: list = []
-        for rows, (f, q, state) in ((red, tabs[:3]), (blue, tabs[3:])):
-            q, state = q[:], state[:]
+        out = []
+        for rows, (f, q, a, state) in zip((red, blue), tabs):
+            q, a = q[:], a[:]
             mine = rows[v]
-            own = 0  # the state of mine, built as its members join
-            qv = 0  # Q[v]
-            left = mine
+            if r == 2:
+                state = state[:]
+                own = 0  # the state of mine, built as its members join
+            left = mine | bit_v  # the members of mine, then v itself
             while left:
                 bit_u = left & -left
                 left ^= bit_u
                 u = bit_u.bit_length() - 1
-                nb = rows[u] ^ bit_v
-                x = nb & mine
-                if x & (bit_u - 1):
-                    own = _join(own, x & (bit_u - 1), bit_u)
-                old = state[u]
-                new = state[u] = _join(old, x, bit_v) if x else old
-                d = nb.bit_count() + 1
-                if d < lo or not new & _HAS:
+                nb = rows[u]
+                if r == 2:
+                    if u < v:
+                        x = nb & mine
+                        if x & (bit_u - 1):
+                            own = _join(own, x & (bit_u - 1), bit_u)
+                        if x:
+                            state[u] = _join(state[u], x, bit_v)
+                    else:
+                        state[v] = own
+                    s = state[u]
+                    if nb.bit_count() < lo or not s & _HAS:
+                        continue
+                    if s & _NU2:
+                        f |= bit_u
+                    new = nb & ~s  # N off its cover
+                elif nb.bit_count() < lo:
                     continue
-                if new & _NU2:
+                elif disjoint_edges(rows, nb, r) is not None:
                     f |= bit_u
-                # what A(u) gains: A(u) is N(u) off its cover, once d >= lo
-                gain = (nb | bit_v) & ~new
-                if old & _HAS and d > lo:
-                    gain ^= nb & ~old
+                    new = nb  # N - y keeps r - 1 of the r edges
+                else:
+                    # N - y keeps an (r-1)-matching m whenever y misses its ends
+                    m = disjoint_edges(rows, nb, r - 1)
+                    if m is None:
+                        continue
+                    ends = sum(m)
+                    new = nb ^ ends
+                    for y in iter_bits(ends):
+                        if disjoint_edges(rows, nb ^ (1 << y), r - 1) is not None:
+                            new |= 1 << y
+                gain = new & ~a[u]
+                a[u] = new
                 q[u] |= gain
-                if gain & bit_v:
-                    qv |= bit_u
-                    gain ^= bit_v
                 while gain:
                     low = gain & -gain
                     gain ^= low
                     q[low.bit_length() - 1] |= bit_u
-            state[v] = own
-            if own & _HAS and mine.bit_count() >= lo:
-                if own & _NU2:
-                    f |= bit_v
-                gain = mine & ~own
-                qv |= gain
-                while gain:
-                    low = gain & -gain
-                    gain ^= low
-                    q[low.bit_length() - 1] |= bit_v
-            q[v] = qv
-            out += (f, q, state)
+            out.append((f, q, a, state))
         return tuple(out)
 
     def out_of_budget(v: int) -> bool:
@@ -277,7 +261,7 @@ def exhaustive_witness_search(
             status = WITNESS_FOUND
             witness = g
             return True
-        f1, q1, _, f2, q2, _ = tabs
+        (f1, q1, _, _), (f2, q2, _, _) = tabs
         # edges {0, v}, ..., {v-1, v} are colored one at a time, color 1
         # first; edge {i, v} in color c is held in rc[i] and rc[v], rc being
         # red for c = 1 and blue for c = 2.  forb1[i] and forb2[i] are the
@@ -345,7 +329,8 @@ def exhaustive_witness_search(
                 bit_i >>= 1
                 c, rc = (2, blue) if blue[v] & bit_i else (1, red)
 
-    dfs(1, (*tables(red, 1), [0] * n, *tables(blue, 1), [0] * n))
+    empty = (0, [0] * n, [0] * n, [0] * n)
+    dfs(1, grow(0, (empty, empty)))
     return SearchOutcome(
         status=status,
         witness=witness,

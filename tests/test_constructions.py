@@ -135,6 +135,8 @@ def test_general_lower_parameter_errors():
         build_general_lower(2, 7, 0)
     with pytest.raises(ParameterError):
         build_general_lower(2, 7, 4)  # needs t-1 >= 2r
+    with pytest.raises(ParameterError):
+        build_general_lower(3, 9, ())  # no r: nothing would be certified
 
 
 def test_family_coincidences():

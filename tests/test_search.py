@@ -206,8 +206,11 @@ def test_nodes_by_depth():
     # the long trees: the per-vector counts, whatever the pruning
     out = exhaustive_witness_search(9, SPattern(5, 2))
     assert out.nodes_by_depth == [0, 1, 4, 24, 256, 3296, 35136, 254976, 1168640]
+    # and the prunes of the conflict tables at r = 2 and at r = 3
+    assert out.prunes_by_depth == [0, 0, 0, 0, 53, 1204, 9804, 39498, 52046]
     out = exhaustive_witness_search(13, SPattern(7, 3), SearchBudget(max_nodes=150_000))
     assert out.nodes_by_depth == [0, 1, 1, 1, 1, 1, 32, 64, 128, 377, 433, 4002, 144959]
+    assert out.prunes_by_depth == [0, 0, 0, 0, 0, 0, 5, 6, 7, 6, 16, 114, 2133]
 
 
 def test_order_60_search_colors_its_edges_without_recursion():
@@ -243,6 +246,10 @@ def test_search_agrees_with_the_per_vector_reference(tmp_path):
     # the benchmark's searches: two witnesses and a budget stop at r = 3
     cases += [(10, SPattern(6, 2), None), (12, SPattern(7, 2), None),
               (13, SPattern(7, 3), SearchBudget(max_nodes=150_000))]
+    # deep trees at r = 1, 3 and 4: exhausted at 8,381 nodes, witnesses at
+    # 848 and 4,984 nodes
+    cases += [(9, SPattern(5, 1), None), (11, SPattern(7, 3), None),
+              (13, SPattern(9, 4), SearchBudget(max_nodes=100_000))]
     for n, p, budget in cases:
         got = exhaustive_witness_search(n, p, budget)
         want = exhaustive_witness_search_reference(n, p, budget)
@@ -269,6 +276,8 @@ def test_budget_and_bounds_validation():
         SearchBudget(max_nodes=float("nan"))
     with pytest.raises(ParameterError):  # a node count is whole
         SearchBudget(max_nodes=100.5)
+    with pytest.raises(ParameterError):  # bool is an int subclass, not a count
+        SearchBudget(max_nodes=True)
     with pytest.raises(ParameterError):
         exhaustive_witness_search(1, K3)
     with pytest.raises(ParameterError):
