@@ -5,10 +5,12 @@ unordered pair of distinct vertices (0-based, in ``0..n-1``).  The color table
 is a flat upper-triangular ``bytearray``; per-color adjacency rows are kept as
 Python integers used as bitsets and are built lazily on first access, then
 maintained incrementally by the edge setter.  The build gathers 64 full vertex
-rows at a time into a byte block (slices of the table for the upper part,
-strided slice stores for the lower part) and turns each block row into one
-bitset per color with ``bytes.translate`` and a base-2 ``int`` parse, so no
-n x n matrix is ever held.
+rows at a time into a byte block, each row padded to whole 8-byte lanes (a
+slice of the table for a row's tail, strided slice stores for the columns).
+Per group of 8 colors one ``bytes.translate`` turns the block into one bit per
+color per byte, and an 8x8 bit transpose of every lane, run on the whole block
+as one integer, leaves each color's row bits in every 8th byte, so no n x n
+matrix is ever held.
 
 Every lower-bound coloring this package generates is a tower of blow-ups,
 each assembling the new table from row slices (``row_bytes``).  ``blowup``
@@ -48,10 +50,10 @@ def lsb_index(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-# _BITS[255 - c : 511 - c] is the translate table that maps byte c to b"1" and
-# every other byte to b"0"; one constant instead of 256 tables saves 75 KB a copy
-_BITS = b"0" * 255 + b"1" + b"0" * 255
 _ROW_BLOCK = 64  # vertex rows gathered per byte block while building bitsets
+# shift and lane mask of the three swap rounds of an 8x8 bit-matrix transpose
+# (Warren, Hacker's Delight, 7-3): bit 8i + j of a 64-bit lane goes to 8j + i
+_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 _ASCII = bytes(range(128))
 _SCAN = 1 << 13  # table bytes range-checked per translate, so no table is held twice
 # for k <= 9 a color is one digit: these map color c to b"c" in a file and back
@@ -149,26 +151,43 @@ class ColoredCompleteGraph:
     # -- per-color adjacency bitsets ----------------------------------------
 
     def _build_rows(self) -> dict[int, list[int]]:
-        n = self.n
-        rows: dict[int, list[int]] = {c: [] for c in range(1, self.k + 1)}
-        sinks = [(rows[c].append, _BITS[255 - c : 511 - c]) for c in rows]
+        n, k = self.n, self.k
+        rows: dict[int, list[int]] = {c: [] for c in range(1, k + 1)}
+        table = memoryview(self._colors)
+        starts = [v * (2 * n - v - 1) // 2 for v in range(n)]
+        stride = (n + 7) & ~7
+        lanes = min(_ROW_BLOCK, n) * stride // 8
+        from_bytes = int.from_bytes
+        masks = [(s, from_bytes(m.to_bytes(8, "little") * lanes, "little")) for s, m in _TRANSPOSE]
+        groups = []  # (first color g0, translate table mapping color g0 + j to bit j)
+        for g0 in range(1, k + 1, 8):
+            tr = bytearray(256)
+            for j in range(min(8, k + 1 - g0)):
+                tr[g0 + j] = 1 << j
+            groups.append((g0, tr))
         for w0 in range(0, n, _ROW_BLOCK):
             w1 = min(w0 + _ROW_BLOCK, n)
-            # block[(w - w0) * n + v] = color of {w, v}; 0 on the diagonal
-            block = bytearray((w1 - w0) * n)
+            # block[(w - w0) * stride + v] = color of {w, v}; 0 on the diagonal and the padding
+            block = bytearray((w1 - w0) * stride)
+            size = len(block)
             for v in range(w1):
-                rb = self.row_bytes(v)
-                if v >= w0:
-                    i = (v - w0) * n
-                    block[i + v + 1 : i + n] = rb
-                lo = max(v + 1, w0)
-                if lo < w1:
-                    block[(lo - w0) * n + v :: n] = rb[lo - v - 1 : w1 - v - 1]
-            for i in range(0, len(block), n):
-                # bit v of a row is its v-th byte, so the last byte is the top digit
-                rev = block[i : i + n][::-1]
-                for append, table in sinks:
-                    append(int(rev.translate(table), 2))
+                o = starts[v]
+                if v < w0:
+                    block[v::stride] = table[o + w0 - v - 1 : o + w1 - v - 1]
+                else:
+                    i = (v - w0) * stride
+                    block[i + v + 1 : i + n] = table[o : o + n - v - 1]
+                    block[i + stride + v :: stride] = table[o : o + w1 - v - 1]
+            for g0, tr in groups:
+                x = from_bytes(block.translate(tr), "little")
+                for s, m in masks:
+                    t = (x ^ (x >> s)) & m
+                    x ^= t ^ (t << s)
+                # byte 8q + j of a row now holds color g0 + j at vertices 8q .. 8q + 7
+                b = x.to_bytes(size, "little")
+                for j in range(min(8, k + 1 - g0)):
+                    rows[g0 + j] += [from_bytes(b[i + j : i + stride : 8], "little")
+                                     for i in range(0, size, stride)]
         return rows
 
     def rows(self, c: int) -> list[int]:

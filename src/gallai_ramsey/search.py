@@ -63,6 +63,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional
 
 from gallai_ramsey.colored_graph import (
@@ -97,6 +98,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if not isinstance(self.max_nodes, int) or isinstance(self.max_nodes, bool):
             raise ParameterError(f"max_nodes must be an int, got {self.max_nodes!r}")
+        if not isinstance(self.max_time, Real) or isinstance(self.max_time, bool):
+            raise ParameterError(f"max_time must be a real number, got {self.max_time!r}")
         if not (self.max_nodes > 0 and self.max_time > 0):  # also refuses NaN
             raise ParameterError("budget limits must be positive")
 

@@ -641,3 +641,32 @@ def all_pattern_free_colorings(
     else:
         exhaustive_witness_search_reference(n, p, budget, break_symmetry=False, collect=leaves)
     return leaves
+
+
+# byte c of _BITS[255 - c : 511 - c] is b"1", every other byte b"0"
+_BITS = b"0" * 255 + b"1" + b"0" * 255
+
+
+def build_rows_reference(g: ColoredCompleteGraph) -> dict[int, list[int]]:
+    """Per-color bitset rows with one base-2 parse per vertex row and color."""
+    n = g.n
+    rows: dict[int, list[int]] = {c: [] for c in range(1, g.k + 1)}
+    sinks = [(rows[c].append, _BITS[255 - c : 511 - c]) for c in rows]
+    for w0 in range(0, n, 64):
+        w1 = min(w0 + 64, n)
+        # block[(w - w0) * n + v] = color of {w, v}; 0 on the diagonal
+        block = bytearray((w1 - w0) * n)
+        for v in range(w1):
+            rb = g.row_bytes(v)
+            if v >= w0:
+                i = (v - w0) * n
+                block[i + v + 1 : i + n] = rb
+            lo = max(v + 1, w0)
+            if lo < w1:
+                block[(lo - w0) * n + v :: n] = rb[lo - v - 1 : w1 - v - 1]
+        for i in range(0, len(block), n):
+            # bit v of a row is its v-th byte, so the last byte is the top digit
+            rev = block[i : i + n][::-1]
+            for append, table in sinks:
+                append(int(rev.translate(table), 2))
+    return rows

@@ -24,6 +24,7 @@ from gallai_ramsey.colored_graph import (
 )
 from gallai_ramsey.constructions import build_G82
 from helpers import (
+    build_rows_reference,
     faulty_graph_file,
     has_mono_triangle_slow,
     has_rainbow_triangle_slow,
@@ -380,19 +381,20 @@ def _assert_rows_match_colors(g):
 
 
 @pytest.mark.property_based
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 140))
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 140), k=st.integers(1, 12))
 @settings(max_examples=40, derandomize=True, deadline=None)
-# rows are built 64 vertices at a time: sizes at and around the block edges
-@example(seed=1, n=1)
-@example(seed=2, n=2)
-@example(seed=63, n=63)
-@example(seed=64, n=64)
-@example(seed=65, n=65)
-@example(seed=128, n=128)
-@example(seed=129, n=129)
-def test_bitset_rows_match_colors_after_mutation(seed, n):
+# rows are built 64 vertices at a time: sizes at and around the block edges;
+# colors go 8 to a group, so k = 9 puts color 9 alone in a second group
+@example(seed=1, n=1, k=2)
+@example(seed=2, n=2, k=3)
+@example(seed=63, n=63, k=4)
+@example(seed=64, n=64, k=2)
+@example(seed=65, n=65, k=3)
+@example(seed=128, n=128, k=4)
+@example(seed=129, n=129, k=2)
+@example(seed=9, n=70, k=9)
+def test_bitset_rows_match_colors_after_mutation(seed, n, k):
     rng = random.Random(seed)
-    k = rng.randint(2, 4)
     g = random_graph(rng, n, k)
     _assert_rows_match_colors(g)  # builds the cache, so the setter has to maintain it
     for _ in range(20 if n > 1 else 0):
@@ -400,6 +402,43 @@ def test_bitset_rows_match_colors_after_mutation(seed, n):
         v = (u + rng.randrange(1, n)) % n
         g.set_color(u, v, rng.randint(1, k))
     _assert_rows_match_colors(g)
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 140), k=st.integers(1, 20))
+@settings(max_examples=60, derandomize=True, deadline=None)
+# the edges of the 8-byte lanes and 64-row blocks, and of the 8-color groups
+@example(seed=1, n=7, k=8)
+@example(seed=2, n=8, k=9)
+@example(seed=3, n=9, k=16)
+@example(seed=4, n=63, k=17)
+@example(seed=5, n=64, k=255)
+@example(seed=6, n=65, k=9)
+@example(seed=7, n=129, k=17)
+@example(seed=8, n=129, k=255)
+def test_rows_match_reference_builder(seed, n, k):
+    g = random_graph(random.Random(seed), n, k)
+    assert g._build_rows() == build_rows_reference(g)
+
+
+def test_rows_match_reference_builder_on_a_tower():
+    g = build_G82(3, verify=False).graph
+    assert g._build_rows() == build_rows_reference(g)
+
+
+def test_row_build_holds_no_matrix_and_keeps_small_rows():
+    g = build_G82(8, verify=False).graph
+    tracemalloc.start()
+    try:
+        rows = g._build_rows()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 8
+    # an n x n byte matrix alone is 3.1 MB, a copy of the table per color 1.55 MB
+    assert peak - kept < 1_500_000
+    # the base-2 builder kept 3.78 MB of rows: every row carried its leading zeros
+    assert kept <= 3_780_000
 
 
 @pytest.mark.property_based

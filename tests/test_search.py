@@ -278,6 +278,10 @@ def test_budget_and_bounds_validation():
         SearchBudget(max_nodes=100.5)
     with pytest.raises(ParameterError):  # bool is an int subclass, not a count
         SearchBudget(max_nodes=True)
+    with pytest.raises(ParameterError):  # nor a number of seconds
+        SearchBudget(max_time=True)
+    with pytest.raises(ParameterError):
+        SearchBudget(max_time="5")
     with pytest.raises(ParameterError):
         exhaustive_witness_search(1, K3)
     with pytest.raises(ParameterError):
