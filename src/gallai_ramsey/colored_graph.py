@@ -4,9 +4,15 @@ A ``ColoredCompleteGraph`` assigns one color id (1-based, in ``1..k``) to every
 unordered pair of distinct vertices (0-based, in ``0..n-1``).  The color table
 is a flat upper-triangular ``bytearray``; per-color adjacency rows are kept as
 Python integers used as bitsets and are built lazily on first access, then
-maintained incrementally by the edge setter.  The build gathers 64 full vertex
-rows at a time into a byte block, each row padded to whole 8-byte lanes (a
-slice of the table for a row's tail, strided slice stores for the columns).
+maintained incrementally by the edge setter.
+
+A graph made by ``blowup`` keeps its shape, the orders of its parts nested as
+the parts were built, until an edge of it is recolored.  Its rows are composed
+from the shape: a vertex's row is its leaf block's row shifted into place, ORed
+with the masks of the parts joined to its enclosing parts in that color, read
+from the graph's own table at the parts' first vertices.  A table read from a
+file or passed in, and a leaf block, is transposed instead: 64 vertex rows at
+a time are gathered into a byte block, each row padded to whole 8-byte lanes.
 Per group of 8 colors one ``bytes.translate`` turns the block into one bit per
 color per byte, and an 8x8 bit transpose of every lane, run on the whole block
 as one integer, leaves each color's row bits in every 8th byte, so no n x n
@@ -67,8 +73,10 @@ MAX_ORDER = 10_000
 Order n costs n^2/2 bytes of colors plus n^2/8 bytes of rows per color: 50 MB
 plus 12.5 MB per color at 10,000, what a small machine can give one process.
 Past it a tower or a sample runs out of memory, or for hours, instead of
-failing.  The largest order in the tests, the benchmark and the README is
-1,762 (``build_G82(8)``); G62 and G82 at k = 9, 10 (3,187..8,812) still fit.
+failing.  The largest order the tests and CI build is 4,406 (``build_G82(9)``).
+G62(10) and G82(10) (6,406 and 8,812 vertices) still fit: with its rows
+composed from its shape, G82(10) is built and certified in about 1 s on a
+2-core x86-64 host.
 """
 
 
@@ -80,6 +88,92 @@ def check_order(n: int, k: int) -> None:
         raise ParameterError(f"vertex count must be in 1..{MAX_ORDER}, got {n}")
 
 
+def _transposed_rows(n: int, k: int, colors: bytes | bytearray) -> dict[int, list[int]]:
+    """Rows of the table ``colors`` of order n, 64 vertex rows and 8 colors at a time."""
+    rows: dict[int, list[int]] = {c: [] for c in range(1, k + 1)}
+    table = memoryview(colors)
+    starts = [v * (2 * n - v - 1) // 2 for v in range(n)]
+    stride = (n + 7) & ~7
+    lanes = min(_ROW_BLOCK, n) * stride // 8
+    from_bytes = int.from_bytes
+    masks = [(s, from_bytes(m.to_bytes(8, "little") * lanes, "little")) for s, m in _TRANSPOSE]
+    groups = []  # (first color g0, translate table mapping color g0 + j to bit j)
+    for g0 in range(1, k + 1, 8):
+        tr = bytearray(256)
+        for j in range(min(8, k + 1 - g0)):
+            tr[g0 + j] = 1 << j
+        groups.append((g0, tr))
+    for w0 in range(0, n, _ROW_BLOCK):
+        w1 = min(w0 + _ROW_BLOCK, n)
+        # block[(w - w0) * stride + v] = color of {w, v}; 0 on the diagonal and the padding
+        block = bytearray((w1 - w0) * stride)
+        size = len(block)
+        for v in range(w1):
+            o = starts[v]
+            if v < w0:
+                block[v::stride] = table[o + w0 - v - 1 : o + w1 - v - 1]
+            else:
+                i = (v - w0) * stride
+                block[i + v + 1 : i + n] = table[o : o + n - v - 1]
+                block[i + stride + v :: stride] = table[o : o + w1 - v - 1]
+        for g0, tr in groups:
+            x = from_bytes(block.translate(tr), "little")
+            for s, m in masks:
+                t = (x ^ (x >> s)) & m
+                x ^= t ^ (t << s)
+            # byte 8q + j of a row now holds color g0 + j at vertices 8q .. 8q + 7
+            b = x.to_bytes(size, "little")
+            for j in range(min(8, k + 1 - g0)):
+                rows[g0 + j] += [from_bytes(b[i + j : i + stride : 8], "little")
+                                 for i in range(0, size, stride)]
+    return rows
+
+
+def _composed_rows(n: int, k: int, colors: bytearray, shape: tuple) -> dict[int, list[int]]:
+    """Rows of a blow-up of ``shape`` whose table is ``colors``, block by block.
+
+    A vertex's row is its leaf block's row shifted to the block's first vertex,
+    ORed with the masks its enclosing parts inherit in each color.  The color
+    between two parts is the table's at their first vertices; a leaf block's
+    rows are the transpose of its own slice of the table, once per distinct slice.
+    """
+    def at(u: int, v: int) -> int:  # table index of {u, v}, u < v
+        return u * (2 * n - u - 1) // 2 + v - u - 1
+
+    rows = {c: [0] * n for c in range(1, k + 1)}
+    table = memoryview(colors)
+    leaves: dict[bytes, dict[int, list[int]]] = {}
+    stack = [(shape, 0, [0] * (k + 1))]  # (parts, first vertex, mask inherited per color)
+    while stack:
+        parts, o, inherited = stack.pop()
+        firsts, masks = [], []
+        for part in parts:
+            m = part if type(part) is int else part[1]
+            firsts.append(o)
+            masks.append(((1 << m) - 1) << o)
+            o += m
+        for part, a in zip(parts, firsts):
+            inh = inherited.copy()
+            for b, mask in zip(firsts, masks):
+                if b != a:
+                    inh[table[at(a, b) if a < b else at(b, a)]] |= mask
+            if type(part) is not int:
+                stack.append((part[0], a, inh))
+            elif part == 1:
+                for c in range(1, k + 1):
+                    rows[c][a] = inh[c]
+            else:
+                end = a + part - 1
+                key = b"".join(table[at(u, u + 1) : at(u, end) + 1] for u in range(a, end))
+                leaf = leaves.get(key)
+                if leaf is None:
+                    leaf = leaves[key] = _transposed_rows(part, k, key)
+                for c in range(1, k + 1):
+                    h = inh[c]
+                    rows[c][a : a + part] = [r << a | h for r in leaf[c]]
+    return rows
+
+
 class ColoredCompleteGraph:
     """A complete graph on ``n`` vertices with every edge colored in ``1..k``.
 
@@ -87,7 +181,7 @@ class ColoredCompleteGraph:
     this to reserve color ids they will introduce in later stages.
     """
 
-    __slots__ = ("n", "k", "_colors", "_rows")
+    __slots__ = ("n", "k", "_colors", "_rows", "_shape")
 
     def __init__(self, n: int, k: int, colors: bytes | bytearray | None = None):
         check_order(n, k)  # before a default table is allocated
@@ -111,6 +205,7 @@ class ColoredCompleteGraph:
                 raise ParameterError(f"color id {bad[0]} outside 1..{k}")
         self.n, self.k, self._colors = n, k, table
         self._rows: dict[int, list[int]] | None = None
+        self._shape: tuple | None = None  # set by blowup while the table is its blow-up
         return self
 
     # -- basic access ------------------------------------------------------
@@ -137,6 +232,7 @@ class ColoredCompleteGraph:
         if old == c:
             return
         self._colors[i] = c
+        self._shape = None
         if self._rows is not None:
             self._rows[old][u] &= ~(1 << v)
             self._rows[old][v] &= ~(1 << u)
@@ -151,44 +247,9 @@ class ColoredCompleteGraph:
     # -- per-color adjacency bitsets ----------------------------------------
 
     def _build_rows(self) -> dict[int, list[int]]:
-        n, k = self.n, self.k
-        rows: dict[int, list[int]] = {c: [] for c in range(1, k + 1)}
-        table = memoryview(self._colors)
-        starts = [v * (2 * n - v - 1) // 2 for v in range(n)]
-        stride = (n + 7) & ~7
-        lanes = min(_ROW_BLOCK, n) * stride // 8
-        from_bytes = int.from_bytes
-        masks = [(s, from_bytes(m.to_bytes(8, "little") * lanes, "little")) for s, m in _TRANSPOSE]
-        groups = []  # (first color g0, translate table mapping color g0 + j to bit j)
-        for g0 in range(1, k + 1, 8):
-            tr = bytearray(256)
-            for j in range(min(8, k + 1 - g0)):
-                tr[g0 + j] = 1 << j
-            groups.append((g0, tr))
-        for w0 in range(0, n, _ROW_BLOCK):
-            w1 = min(w0 + _ROW_BLOCK, n)
-            # block[(w - w0) * stride + v] = color of {w, v}; 0 on the diagonal and the padding
-            block = bytearray((w1 - w0) * stride)
-            size = len(block)
-            for v in range(w1):
-                o = starts[v]
-                if v < w0:
-                    block[v::stride] = table[o + w0 - v - 1 : o + w1 - v - 1]
-                else:
-                    i = (v - w0) * stride
-                    block[i + v + 1 : i + n] = table[o : o + n - v - 1]
-                    block[i + stride + v :: stride] = table[o : o + w1 - v - 1]
-            for g0, tr in groups:
-                x = from_bytes(block.translate(tr), "little")
-                for s, m in masks:
-                    t = (x ^ (x >> s)) & m
-                    x ^= t ^ (t << s)
-                # byte 8q + j of a row now holds color g0 + j at vertices 8q .. 8q + 7
-                b = x.to_bytes(size, "little")
-                for j in range(min(8, k + 1 - g0)):
-                    rows[g0 + j] += [from_bytes(b[i + j : i + stride : 8], "little")
-                                     for i in range(0, size, stride)]
-        return rows
+        if self._shape is None:
+            return _transposed_rows(self.n, self.k, self._colors)
+        return _composed_rows(self.n, self.k, self._colors, self._shape)
 
     def rows(self, c: int) -> list[int]:
         """All adjacency bitsets for color c, indexed by vertex; treat as read-only."""
@@ -234,6 +295,7 @@ def blowup(
 
     An edge between parts i and j takes the template's color of {i, j}, so each
     new row is a part's row followed by one run of a template color per later part.
+    The result keeps the parts' orders as its shape, to compose its color rows from.
     """
     if len(parts) != template.n:
         raise ParameterError(f"template has {template.n} vertices, got {len(parts)} parts")
@@ -249,7 +311,9 @@ def blowup(
         for u in range(part.n):
             buf += part.row_bytes(u)
             buf += tail
-    return ColoredCompleteGraph._owning(sum(p.n for p in parts), k, buf)
+    g = ColoredCompleteGraph._owning(sum(p.n for p in parts), k, buf)
+    g._shape = tuple(p.n if p._shape is None else (p._shape, p.n) for p in parts)
+    return g
 
 
 def join(g1: ColoredCompleteGraph, g2: ColoredCompleteGraph, c: int) -> ColoredCompleteGraph:

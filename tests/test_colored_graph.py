@@ -22,7 +22,8 @@ from gallai_ramsey.colored_graph import (
     read_graph,
     write_graph,
 )
-from gallai_ramsey.constructions import build_G82
+from gallai_ramsey.constructions import build_G62, build_G82, build_general_lower
+from gallai_ramsey.search import random_gallai_sampler
 from helpers import (
     build_rows_reference,
     faulty_graph_file,
@@ -440,6 +441,141 @@ def test_row_build_holds_no_matrix_and_keeps_small_rows():
     # the base-2 builder kept 3.78 MB of rows: every row carried its leading zeros
     assert kept <= 3_780_000
 
+
+
+def test_transposed_rows_match_reference_builder_on_a_tower(tmp_path):
+    g = build_G82(3, verify=False).graph
+    path = str(tmp_path / "g.txt")
+    write_graph(g, path)
+    back = read_graph(path)
+    assert back._shape is None  # a table read from a file is transposed, not composed
+    assert back._build_rows() == build_rows_reference(g)
+
+
+def _row_build_memory(g):
+    tracemalloc.start()
+    try:
+        rows = g._build_rows()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == g.k
+    return kept, peak - kept
+
+
+def test_transposed_row_build_holds_no_matrix_and_keeps_small_rows():
+    tower = build_G82(8, verify=False).graph
+    g = ColoredCompleteGraph(tower.n, tower.k, tower._colors)  # the same table, no shape
+    kept, transient = _row_build_memory(g)
+    assert transient < 1_500_000
+    assert kept <= 3_780_000
+
+
+def test_composed_row_build_holds_little_beyond_its_rows():
+    # composition holds a stack of per-color masks and one transposed leaf
+    # block at a time, where the transpose holds lane masks and byte blocks
+    kept, transient = _row_build_memory(build_G82(8, verify=False).graph)
+    assert transient < 300_000
+    assert kept <= 3_780_000
+
+
+def _assert_rows_match_reference(g):
+    want = build_rows_reference(g)
+    assert all(g.rows(c) == want[c] for c in range(1, g.k + 1))
+
+
+def _nested_tower():
+    # a pentagon of one reused join, so the shape nests a part in each of five parts
+    return blowup_pentagon([join(new_monochromatic(2, 4, 1), new_monochromatic(1, 4, 1), 2)] * 5,
+                           3, 4)
+
+
+def _part_recolored_after_blowup():
+    a = join(new_monochromatic(3, 4, 1), new_monochromatic(2, 4, 1), 2)
+    b = new_monochromatic(4, 4, 1)
+    g = join(a, b, 3)
+    a.set_color(0, 1, 2)  # inside a's first block
+    a.set_color(0, 3, 4)  # between a's blocks, at their first vertices
+    b.set_color(0, 1, 2)
+    return g
+
+
+def _template_recolored_after_blowup():
+    template = new_monochromatic(3, 4, 2)
+    g = blowup(template, [new_monochromatic(2, 4, 1)] * 3)
+    template.set_color(0, 1, 3)
+    return g
+
+
+def _blowup_recolored_before_rows():
+    g = _nested_tower()
+    g.set_color(0, 1, 4)  # inside a block
+    g.set_color(0, 3, 1)  # between two parts' first vertices
+    g.set_color(1, 14, 2)  # between two parts, off their first vertices
+    return g
+
+
+def _blowup_recolored_after_rows():
+    g = _nested_tower()
+    g.rows(1)
+    g.set_color(0, 3, 1)
+    g.set_color(1, 14, 2)
+    return g
+
+
+def _recolored_blowup_as_a_part():
+    h = _nested_tower()
+    h.set_color(0, 3, 1)
+    return join(h, _nested_tower(), 2)
+
+
+@pytest.mark.parametrize("make", [
+    _part_recolored_after_blowup,
+    _template_recolored_after_blowup,
+    _blowup_recolored_before_rows,
+    _blowup_recolored_after_rows,
+    _recolored_blowup_as_a_part,
+])
+def test_rows_follow_recoloring_around_a_blowup(make):
+    _assert_rows_match_reference(make())
+
+
+@pytest.mark.parametrize("build, k", [(b, k) for b in (build_G62, build_G82) for k in range(2, 10)],
+                         ids=[f"{b}-{k}" for b in ("g62", "g82") for k in range(2, 10)])
+def test_composed_rows_match_reference_on_pinned_towers(build, k):
+    _assert_rows_match_reference(build(k, verify=False).graph)
+
+
+@pytest.mark.parametrize("k, t", [(1, 4), (2, 5), (3, 7), (4, 6), (5, 9), (6, 4), (7, 5)])
+def test_composed_rows_match_reference_on_general_towers(k, t):
+    _assert_rows_match_reference(build_general_lower(k, t, 1, verify=False).graph)
+
+
+@pytest.mark.property_based
+@given(k=st.one_of(st.integers(1, 12), st.integers(1, 255)), n=st.integers(1, 200),
+       seed=st.integers(0, 10**6))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_composed_rows_match_reference_on_samples(k, n, seed):
+    _assert_rows_match_reference(random_gallai_sampler(k, n, seed))
+
+
+def _random_blowup(rng, k, depth):
+    """A blow-up whose parts repeat a few objects, some of them with rows built."""
+    if depth == 0:
+        return random_graph(rng, rng.randint(1, 4), k)
+    pool = [_random_blowup(rng, k, rng.randrange(depth)) for _ in range(rng.randint(1, 3))]
+    for part in pool:
+        if rng.random() < 0.3:
+            part.rows(1)
+    template = random_graph(rng, rng.randint(1, 4), k)
+    return blowup(template, [rng.choice(pool) for _ in range(template.n)])
+
+
+@pytest.mark.property_based
+@given(seed=st.integers(0, 10**6), k=st.integers(1, 12), depth=st.integers(1, 4))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_composed_rows_match_reference_on_nested_blowups(seed, k, depth):
+    _assert_rows_match_reference(_random_blowup(random.Random(seed), k, depth))
 
 @pytest.mark.property_based
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 30), k=st.integers(1, 255))
