@@ -2,8 +2,8 @@
 
 Every subcommand prints one machine-parseable result line first, then
 human-readable detail.  Exit codes: 0 success or all-clear, 1 verification
-failure (rainbow triangle, monochromatic pattern, or a witness that fails
-re-verification), 2 usage error, 3 search budget exceeded.
+failure (rainbow triangle, monochromatic pattern, or a witness or partition
+that fails re-verification), 2 usage error, 3 search budget exceeded.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .gallai import (
     find_rainbow_triangle,
     format_partition_report,
     reduced_graph,
+    verify_gallai_partition,
 )
 from .patterns import SPattern, brute_force_contains_S
 from .search import (
@@ -171,6 +172,13 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     result = find_gallai_partition(g)
     if not isinstance(result, GallaiPartition):
         print(_rainbow_line(result))
+        return 1
+    try:
+        problems = verify_gallai_partition(g, result).problems
+    except ParameterError as exc:  # parts that do not partition the vertex set
+        problems = (str(exc),)
+    if problems:
+        print(f"partition failed verification: {problems[0]}", file=sys.stderr)
         return 1
     sys.stdout.write(format_partition_report(result))
     return 0

@@ -428,20 +428,14 @@ def read_graph(path: str) -> ColoredCompleteGraph:
             nfields = line.count(" ") + 1
             if nfields != expected:
                 raise GraphParseError(f"line {u + 2}: expected {expected} colors, got {nfields}")
-            fields = line[:-1].split(" ")
-            try:
-                colors = list(map(int, fields))
-            except ValueError:
-                colors = None
-            if colors is not None and 1 <= min(colors) and max(colors) <= k:
-                buf[pos : pos + expected] = bytes(colors)
-                continue
-            # only a faulty row gets here; this per-field loop raises its first fault
-            for f in fields:
+            row = []
+            for f in line[:-1].split(" "):
                 try:
                     c = int(f)
                 except ValueError:
                     raise GraphParseError(f"line {u + 2}: bad color {f!r}") from None
                 if not 1 <= c <= k:
                     raise GraphParseError(f"line {u + 2}: color id {c} outside 1..{k}")
+                row.append(c)
+            buf[pos : pos + expected] = bytes(row)
     return ColoredCompleteGraph._owning(n, k, buf)

@@ -13,10 +13,11 @@ The g62 and g82 towers are blow-ups only: a plan maps a swapped block's
 index in vertex order to its matching colors, and the tower is blown up
 from its blocks, plain or matched.
 
-Every builder re-checks its output with the detectors (no rainbow triangle,
-no monochromatic S_t^r in any color) unless ``verify=False`` is passed, and
-always checks the assembled order against the bound in ``bounds`` that the
-tower witnesses: its order is that bound minus one.
+Every builder certifies its output with ``search.verify_construction``, as
+graph files and search witnesses are (no rainbow triangle, no monochromatic
+S_t^r in any color), unless ``verify=False`` is passed, and always checks the
+assembled order against the bound in ``bounds`` that the tower witnesses: its
+order is that bound minus one.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from .colored_graph import (
     join,
     new_monochromatic,
 )
-from .gallai import find_rainbow_triangle
-from .patterns import SPattern, find_mono_S
+# kept importable here for the benchmark's tracer; towers are certified through search
+from .gallai import find_rainbow_triangle  # noqa: F401
+from .patterns import SPattern, find_mono_S  # noqa: F401
+from .search import verify_construction
 
 
 class ConstructionError(RuntimeError):
@@ -61,21 +64,6 @@ class ConstructionReport:
         )
 
 
-def _certify(g: ColoredCompleteGraph, t: int, rs: Sequence[int], family: str) -> None:
-    tri = find_rainbow_triangle(g)
-    if tri is not None:
-        raise ConstructionError(f"{family}: rainbow triangle at {tri.vertices}")
-    for r in rs:
-        p = SPattern(t, r)
-        for c in range(1, g.k + 1):
-            w = find_mono_S(g, c, p)
-            if w is not None:
-                raise ConstructionError(
-                    f"{family}: monochromatic (t={t}, r={r}) in color {c}"
-                    f" centered at {w.center}"
-                )
-
-
 def _order_below(bound: BoundValue, k: int) -> int:
     """The order of a tower that witnesses ``bound``, once a graph that large can be held."""
     n = bound.value - 1
@@ -90,7 +78,15 @@ def _finish(
     if g.n != order:
         raise ConstructionError(f"{family}: assembled {g.n} vertices, expected {order}")
     if verify:
-        _certify(g, t, rs, family)
+        rep = verify_construction(g, *(SPattern(t, r) for r in rs))
+        if rep.rainbow is not None:
+            raise ConstructionError(f"{family}: rainbow triangle at {rep.rainbow.vertices}")
+        if rep.mono_witnesses:
+            c, w = min(rep.mono_witnesses.items())
+            raise ConstructionError(
+                f"{family}: monochromatic (t={t}, r={len(w.triangle_edges)}) in color {c}"
+                f" centered at {w.center}"
+            )
     return ConstructionReport(graph=g, family=family, t=t, r=rs, verified=verify)
 
 

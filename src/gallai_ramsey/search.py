@@ -356,7 +356,6 @@ class VerificationReport:
     """
 
     ok: bool
-    pattern: SPattern
     rainbow: Optional[RainbowTriangle]
     mono_witnesses: dict[int, SWitness]
     elapsed: float
@@ -373,8 +372,9 @@ class VerificationReport:
         return out
 
 
-def verify_construction(g: ColoredCompleteGraph, p: SPattern) -> VerificationReport:
-    """Run the rainbow check plus the pattern detector in every color of g."""
+def verify_construction(g: ColoredCompleteGraph, *patterns: SPattern) -> VerificationReport:
+    """Run the rainbow check once, then in every color of g the detector of
+    each pattern in the order given, up to the first that finds a witness."""
     start = time.perf_counter()
     rainbow = find_rainbow_triangle(g)
     rainbow_s = time.perf_counter() - start
@@ -382,13 +382,14 @@ def verify_construction(g: ColoredCompleteGraph, p: SPattern) -> VerificationRep
     mono_s: dict[int, float] = {}
     for c in range(1, g.k + 1):
         t0 = time.perf_counter()
-        w = find_mono_S(g, c, p)
+        for p in patterns:
+            w = find_mono_S(g, c, p)
+            if w is not None:
+                mono[c] = w
+                break
         mono_s[c] = time.perf_counter() - t0
-        if w is not None:
-            mono[c] = w
     return VerificationReport(
         ok=rainbow is None and not mono,
-        pattern=p,
         rainbow=rainbow,
         mono_witnesses=mono,
         elapsed=time.perf_counter() - start,

@@ -22,7 +22,8 @@ from gallai_ramsey.colored_graph import (
     read_graph,
     write_graph,
 )
-from gallai_ramsey.constructions import build_G82
+from gallai_ramsey.constructions import build_G62, build_G82
+from gallai_ramsey.gallai import GallaiPartition
 
 
 def _first_line(capsys) -> str:
@@ -132,6 +133,36 @@ def test_partition_rainbow_exit(tmp_path, capsys):
     assert _first_line(capsys) == "rainbow=0,1,2 colors=1,2,3"
     assert run(["reduce", "--in", path]) == 1
     capsys.readouterr()
+
+
+def _recolored_pair(p):
+    wrong = next(c for c in p.between_colors if c != p.part_pair_color[(0, 1)])
+    return GallaiPartition(p.parts, p.between_colors, {**p.part_pair_color, (0, 1): wrong})
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [
+        (lambda p: GallaiPartition((tuple(range(25)),), frozenset(), {}),
+         "partition is trivial (fewer than 2 parts)"),
+        (_recolored_pair, "edge (0, 5) has color 2, part pair (0, 1) is recorded as color 3"),
+        # a ParameterError from the checker is a failed verification too
+        (lambda p: GallaiPartition(p.parts + (p.parts[0],), p.between_colors, p.part_pair_color),
+         "vertex 0 appears in two parts"),
+    ],
+    ids=["trivial", "recolored-pair", "vertex-twice"],
+)
+def test_partition_exits_1_when_its_partition_fails_verification(
+    tmp_path, capsys, monkeypatch, corrupt, problem
+):
+    path = str(tmp_path / "g.txt")
+    write_graph(build_G62(3, verify=False).graph, path)
+    found = gallai_ramsey.cli.find_gallai_partition
+    monkeypatch.setattr(gallai_ramsey.cli, "find_gallai_partition", lambda g: corrupt(found(g)))
+    assert run(["partition", "--in", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"partition failed verification: {problem}\n"
 
 
 @pytest.mark.parametrize(

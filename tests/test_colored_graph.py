@@ -297,6 +297,9 @@ def _assert_reads_like_reference(data, path):
         b"3 8\n9 1\n1\n",
         b"3 12\n10 12\n13\n",
         b"3 12\n1 2\n9\n",  # one-digit rows under k >= 10
+        b"4 12\n01 +1 12\n11 10\n9\n",  # valid multi-digit rows through the per-field loop
+        b"3 255\n255 100\n7\n",
+        b"4 12\n12 1 x\n1 2\n3\n",  # a bad field after valid multi-digit ones
         b"3 2\r\n1 2\r1\r\n",
         b"2 9\n9\n",
         b"1 9\n",

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gallai_ramsey.search
 from gallai_ramsey.bounds import gr_S62, gr_S82, gr_Str_bounds, ramsey_Str
 from gallai_ramsey.colored_graph import ParameterError, write_graph
 from gallai_ramsey.constructions import (
@@ -15,6 +16,8 @@ from gallai_ramsey.constructions import (
     matched_clique,
     two_clique_witness,
 )
+from gallai_ramsey.cli import run
+from gallai_ramsey.patterns import RainbowTriangle, SWitness
 from gallai_ramsey.search import random_gallai_sampler
 
 G62_ORDERS = {2: 10, 3: 25, 4: 51, 5: 127, 6: 256, 7: 637}
@@ -46,6 +49,54 @@ def test_g82_small_builds_certify():
     for k in range(2, 7):
         rep = build_G82(k)
         assert rep.verified
+
+
+def test_a_tower_is_certified_by_one_rainbow_check_and_every_pattern(monkeypatch):
+    calls = {"rainbow": 0, "mono": []}
+    rainbow, mono = gallai_ramsey.search.find_rainbow_triangle, gallai_ramsey.search.find_mono_S
+
+    def count_rainbow(g):
+        calls["rainbow"] += 1
+        return rainbow(g)
+
+    def count_mono(g, c, p):
+        calls["mono"].append((c, p.r))
+        return mono(g, c, p)
+
+    monkeypatch.setattr(gallai_ramsey.search, "find_rainbow_triangle", count_rainbow)
+    monkeypatch.setattr(gallai_ramsey.search, "find_mono_S", count_mono)
+    assert build_general_lower(5, 11, (2, 3, 4, 5)).verified
+    assert calls["rainbow"] == 1
+    assert sorted(calls["mono"]) == [(c, r) for c in range(1, 6) for r in (2, 3, 4, 5)]
+
+
+# a fault the certifier reports in G62(3), and the error it must raise: the
+# lowest color that holds the pattern is named
+_CERTIFICATE_FAULTS = [
+    ("find_mono_S",
+     lambda g, c, p: SWitness(5 + c, ((0, 1), (2, 3)), (4,), c) if c >= 2 else None,
+     "g62: monochromatic (t=6, r=2) in color 2 centered at 7"),
+    ("find_rainbow_triangle",
+     lambda g: RainbowTriangle((0, 5, 9), (1, 2, 3)),
+     "g62: rainbow triangle at (0, 5, 9)"),
+]
+
+
+@pytest.mark.parametrize("name, fake, message", _CERTIFICATE_FAULTS, ids=["pattern", "rainbow"])
+def test_a_failed_certificate_raises_construction_error(monkeypatch, name, fake, message):
+    monkeypatch.setattr(gallai_ramsey.search, name, fake)
+    with pytest.raises(ConstructionError) as err:
+        build_G62(3)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name, fake, message", _CERTIFICATE_FAULTS, ids=["pattern", "rainbow"])
+def test_construct_exits_1_on_a_failed_certificate(monkeypatch, capsys, name, fake, message):
+    monkeypatch.setattr(gallai_ramsey.search, name, fake)
+    assert run(["construct", "--family", "g62", "--k", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"verification failure: {message}\n"
 
 
 def _g62_order(k):

@@ -403,6 +403,24 @@ def test_mutate_cross_edge_creates_mono_pattern():
     assert w.validate(mutated, SPattern(6, 2))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_construction_keeps_the_first_pattern_found_per_color(seed):
+    # these samples hold S_9^4, S_7^3 or only S_5^1 in different colors, so the
+    # order in which the patterns are given picks the witness a color keeps
+    g = random_gallai_sampler(3, 20, seed)
+    patterns = (SPattern(9, 4), SPattern(7, 3), SPattern(5, 1))
+    for given_order in (patterns, patterns[::-1]):
+        singles = [verify_construction(g, p) for p in given_order]
+        want = {}
+        for single in singles:
+            for c, w in single.mono_witnesses.items():
+                want.setdefault(c, w)
+        rep = verify_construction(g, *given_order)
+        assert rep.mono_witnesses == want
+        assert rep.rainbow == singles[0].rainbow
+        assert rep.ok == all(single.ok for single in singles)
+
+
 def test_sampler_outputs_are_gallai():
     for seed in range(30):
         g = random_gallai_sampler(4, 35, seed)
