@@ -4,6 +4,8 @@ Every subcommand prints one machine-parseable result line first, then
 human-readable detail.  Exit codes: 0 success or all-clear, 1 verification
 failure (rainbow triangle, monochromatic pattern, or a witness or partition
 that fails re-verification), 2 usage error, 3 search budget exceeded.
+This module is the only one that renders results as text; the library
+returns data.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from .gallai import (
     GallaiPartition,
     find_gallai_partition,
     find_rainbow_triangle,
-    format_partition_report,
     reduced_graph,
-    verify_gallai_partition,
 )
 from .patterns import SPattern, brute_force_contains_S
 from .search import (
@@ -121,80 +121,84 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise _UsageError(f"{flag} is required for this subcommand")
-    return value
-
-
 def _maybe_write(g: ColoredCompleteGraph, path: Optional[str]) -> None:
     if path:
         write_graph(g, path)
         print(f"wrote {path}")
 
 
+# the flags each family reads, all required but general's --r; any other
+# is refused rather than ignored
+_FAMILY_FLAGS = {"two-clique": ("t",), "g62": ("k",), "g82": ("k",), "general": ("k", "t", "r")}
+
+
+def _joined(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     verify = not args.no_verify
     fam = args.family
+    for flag in ("k", "t", "r"):
+        given, read = getattr(args, flag) is not None, flag in _FAMILY_FLAGS[fam]
+        if given and not read:
+            raise _UsageError(f"--{flag} is not used by --family {fam}")
+        if read and not given and flag != "r":
+            raise _UsageError(f"--{flag} is required for this subcommand")
     if fam == "two-clique":
-        rep = two_clique_witness(_require(args.t, "--t"), verify=verify)
+        rep = two_clique_witness(args.t, verify=verify)
     elif fam == "g62":
-        rep = build_G62(_require(args.k, "--k"), verify=verify)
+        rep = build_G62(args.k, verify=verify)
     elif fam == "g82":
-        rep = build_G82(_require(args.k, "--k"), verify=verify)
+        rep = build_G82(args.k, verify=verify)
     else:
-        rs = args.r if args.r is not None else 2
-        rep = build_general_lower(_require(args.k, "--k"), _require(args.t, "--t"),
-                                  rs, verify=verify)
-    print(rep.line())
-    _maybe_write(rep.graph, args.out)
+        rep = build_general_lower(args.k, args.t, args.r or 2, verify=verify)
+    tail = "rainbow=none monoS=none" if verify else "rainbow=skipped monoS=skipped"
+    g = rep.graph
+    print(f"family={fam} k={g.k} t={rep.t} r={_joined(rep.r)} order={g.n} {tail}")
+    _maybe_write(g, args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = read_graph(args.infile)
     p = SPattern(args.t, args.r)
-    report = verify_construction(g, p)
-    print(f"ok={'true' if report.ok else 'false'} n={g.n} k={g.k} t={p.t} r={p.r}")
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 1
+    rep = verify_construction(g, p)
+    print(f"ok={'true' if rep.ok else 'false'} n={g.n} k={g.k} t={p.t} r={p.r}")
+    print(f"rainbow: {'none' if rep.rainbow is None else rep.rainbow.vertices}")
+    for c, w in sorted(rep.mono_witnesses.items()):
+        print(f"color {c}: pattern at center {w.center}")
+    if not rep.mono_witnesses:
+        print("pattern: none in any color")
+    print(f"elapsed: {rep.elapsed:.2f}s")
+    return 0 if rep.ok else 1
 
 
 def _rainbow_line(tri) -> str:
-    u, v, w = tri.vertices
-    a, b, c = tri.colors
-    return f"rainbow={u},{v},{w} colors={a},{b},{c}"
+    return f"rainbow={_joined(tri.vertices)} colors={_joined(tri.colors)}"
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    """``partition`` and ``reduce``: one checked partition, printed as its
+    parts or as its reduced graph."""
     g = read_graph(args.infile)
     result = find_gallai_partition(g)
     if not isinstance(result, GallaiPartition):
         print(_rainbow_line(result))
         return 1
     try:
-        problems = verify_gallai_partition(g, result).problems
-    except ParameterError as exc:  # parts that do not partition the vertex set
-        problems = (str(exc),)
-    if problems:
-        print(f"partition failed verification: {problems[0]}", file=sys.stderr)
+        red = reduced_graph(g, result)
+    except ParameterError as exc:  # the partition fails its own check
+        print(f"partition failed verification: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(format_partition_report(result))
-    return 0
-
-
-def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = read_graph(args.infile)
-    result = find_gallai_partition(g)
-    if not isinstance(result, GallaiPartition):
-        print(_rainbow_line(result))
-        return 1
-    red = reduced_graph(g, result)
-    colors = ",".join(str(c) for c in sorted(red.graph.used_colors()))
-    print(f"reduced n={red.graph.n} colors={colors}")
-    print("representatives: " + " ".join(str(v) for v in red.representatives))
-    _maybe_write(red.graph, args.out)
+    if args.cmd == "partition":
+        print(f"parts={len(result.parts)} colors={_joined(sorted(result.between_colors))}")
+        for part in result.parts:
+            print(" ".join(str(v) for v in part))
+        return 0
+    print(f"reduced n={red.n} colors={_joined(sorted(red.used_colors()))}")
+    print("representatives: " + " ".join(str(min(part)) for part in result.parts))
+    _maybe_write(red, args.out)
     return 0
 
 
@@ -262,7 +266,7 @@ _DISPATCH = {
     "construct": _cmd_construct,
     "verify": _cmd_verify,
     "partition": _cmd_partition,
-    "reduce": _cmd_reduce,
+    "reduce": _cmd_partition,
     "bounds": _cmd_bounds,
     "search": _cmd_search,
     "sample": _cmd_sample,

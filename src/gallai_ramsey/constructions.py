@@ -17,7 +17,8 @@ Every builder certifies its output with ``search.verify_construction``, as
 graph files and search witnesses are (no rainbow triangle, no monochromatic
 S_t^r in any color), unless ``verify=False`` is passed, and always checks the
 assembled order against the bound in ``bounds`` that the tower witnesses: its
-order is that bound minus one.
+order is that bound minus one.  A failed certificate raises
+``ConstructionError``.  A report holds data only; ``cli`` renders it.
 """
 
 from __future__ import annotations
@@ -47,21 +48,11 @@ class ConstructionError(RuntimeError):
 
 @dataclass
 class ConstructionReport:
-    """A built coloring together with its certified properties."""
+    """A built coloring and the patterns S_t^r it is built to avoid."""
 
     graph: ColoredCompleteGraph
-    family: str
     t: int
     r: tuple[int, ...]
-    verified: bool
-
-    def line(self) -> str:
-        r_txt = ",".join(str(x) for x in self.r)
-        tail = "rainbow=none monoS=none" if self.verified else "rainbow=skipped monoS=skipped"
-        return (
-            f"family={self.family} k={self.graph.k} t={self.t} r={r_txt} "
-            f"order={self.graph.n} {tail}"
-        )
 
 
 def _order_below(bound: BoundValue, k: int) -> int:
@@ -87,7 +78,7 @@ def _finish(
                 f"{family}: monochromatic (t={t}, r={len(w.triangle_edges)}) in color {c}"
                 f" centered at {w.center}"
             )
-    return ConstructionReport(graph=g, family=family, t=t, r=rs, verified=verify)
+    return ConstructionReport(graph=g, t=t, r=rs)
 
 
 def two_clique_witness(t: int, verify: bool = True) -> ConstructionReport:

@@ -45,6 +45,11 @@ color, so each split leaves only the triangles inside its parts to check.
 A set that does not split holds a rainbow triangle, and the direct scan
 ``patterns.scan_rainbow_triangle`` of the whole graph then names the
 lexicographically first one, so the result equals the scan's on every input.
+
+``verify_gallai_partition`` returns a partition's problems as text, empty
+when it is valid, and ``reduced_graph`` runs it on the partition it is
+given before it builds the plain colored graph on the parts.  The module
+returns data only; ``cli`` renders it.
 """
 
 from __future__ import annotations
@@ -68,23 +73,6 @@ class GallaiPartition:
     parts: tuple[tuple[int, ...], ...]
     between_colors: frozenset[int]
     part_pair_color: dict[tuple[int, int], int]
-
-
-@dataclass
-class PartitionCheck:
-    """Outcome of verifying a partition against a graph."""
-
-    ok: bool
-    problems: tuple[str, ...]
-    first_violation: Optional[tuple[int, int]] = None
-
-
-@dataclass
-class ReducedGraph:
-    """One representative vertex per part, keeping the between-part colors."""
-
-    graph: ColoredCompleteGraph
-    representatives: tuple[int, ...]
 
 
 def _candidate_color_sets(used: list[int]) -> list[frozenset[int]]:
@@ -306,9 +294,10 @@ def coarsest_partition_over_pairs(
     return best
 
 
-def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> PartitionCheck:
-    """Re-check the partition invariants.
+def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> tuple[str, ...]:
+    """The partition's problems, empty when it is valid.
 
+    Parts that do not partition the vertex set raise ``ParameterError``.
     Each part pair is tested on the rows of its recorded color: a member u of
     part i sees part j in that color alone iff part j's mask lies inside u's
     row.  The first violation of a pair is the first (u, v) in the parts'
@@ -326,7 +315,6 @@ def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Part
         raise ParameterError("parts do not cover the vertex set exactly")
 
     problems: list[str] = []
-    first_violation: Optional[tuple[int, int]] = None
     if len(p.parts) < 2:
         problems.append("partition is trivial (fewer than 2 parts)")
     if len(p.between_colors) > 2:
@@ -356,34 +344,21 @@ def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Part
                         f"edge ({u}, {v}) has color {g.color(u, v)}, part pair ({i}, {j}) "
                         f"is recorded as color {recorded}"
                     )
-                    if first_violation is None:
-                        first_violation = (u, v)
                     break
-    return PartitionCheck(
-        ok=not problems, problems=tuple(problems), first_violation=first_violation
-    )
+    return tuple(problems)
 
 
-def reduced_graph(g: ColoredCompleteGraph, p: GallaiPartition) -> ReducedGraph:
-    """Complete graph on the smallest vertex of each part, between colors kept."""
-    check = verify_gallai_partition(g, p)
-    if not check.ok:
-        raise ParameterError(f"invalid partition: {check.problems[0]}")
+def reduced_graph(g: ColoredCompleteGraph, p: GallaiPartition) -> ColoredCompleteGraph:
+    """Complete graph on the parts in order, each pair in its recorded color.
+
+    Vertex i stands for part i, whose smallest vertex is its representative.
+    A partition that fails ``verify_gallai_partition`` raises
+    ``ParameterError`` with its first problem.
+    """
+    problems = verify_gallai_partition(g, p)
+    if problems:
+        raise ParameterError(problems[0])
     m = len(p.parts)
-    reps = tuple(min(part) for part in p.parts)
-    buf = bytearray()
-    for i in range(m):
-        for j in range(i + 1, m):
-            buf.append(p.part_pair_color[(i, j)])
-    return ReducedGraph(
-        graph=ColoredCompleteGraph(m, g.k, buf), representatives=reps
-    )
+    pairs = bytes(p.part_pair_color[(i, j)] for i in range(m) for j in range(i + 1, m))
+    return ColoredCompleteGraph(m, g.k, pairs)
 
-
-def format_partition_report(p: GallaiPartition) -> str:
-    """Text report: header with part count and colors, one line per part."""
-    colors = ",".join(str(c) for c in sorted(p.between_colors))
-    lines = [f"parts={len(p.parts)} colors={colors}"]
-    for part in p.parts:
-        lines.append(" ".join(str(v) for v in part))
-    return "\n".join(lines) + "\n"

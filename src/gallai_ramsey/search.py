@@ -362,15 +362,6 @@ class VerificationReport:
     rainbow_s: float
     mono_s: dict[int, float]
 
-    def lines(self) -> list[str]:
-        out = [f"rainbow: {'none' if self.rainbow is None else self.rainbow.vertices}"]
-        for c, w in sorted(self.mono_witnesses.items()):
-            out.append(f"color {c}: pattern at center {w.center}")
-        if not self.mono_witnesses:
-            out.append("pattern: none in any color")
-        out.append(f"elapsed: {self.elapsed:.2f}s")
-        return out
-
 
 def verify_construction(g: ColoredCompleteGraph, *patterns: SPattern) -> VerificationReport:
     """Run the rainbow check once, then in every color of g the detector of

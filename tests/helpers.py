@@ -13,7 +13,7 @@ from gallai_ramsey.colored_graph import (
     ParameterError,
     lsb_index,
 )
-from gallai_ramsey.gallai import GallaiPartition, PartitionCheck
+from gallai_ramsey.gallai import GallaiPartition
 from gallai_ramsey.patterns import (
     RainbowTriangle,
     SPattern,
@@ -316,9 +316,9 @@ def gallai_partition_reference(g: ColoredCompleteGraph, coarsest: bool = False):
     return best
 
 
-def verify_gallai_partition_reference(g: ColoredCompleteGraph, p: GallaiPartition) -> PartitionCheck:
+def verify_gallai_partition_reference(g: ColoredCompleteGraph, p: GallaiPartition) -> tuple[str, ...]:
     """The edge-by-edge ``verify_gallai_partition`` that the row-based one
-    must agree with: same exceptions, problems and first violation."""
+    must agree with: same exceptions and problems, each naming the same edge."""
     seen: set[int] = set()
     for part in p.parts:
         if not part:
@@ -331,7 +331,6 @@ def verify_gallai_partition_reference(g: ColoredCompleteGraph, p: GallaiPartitio
         raise ParameterError("parts do not cover the vertex set exactly")
 
     problems: list[str] = []
-    first_violation: tuple[int, int] | None = None
     if len(p.parts) < 2:
         problems.append("partition is trivial (fewer than 2 parts)")
     if len(p.between_colors) > 2:
@@ -357,15 +356,11 @@ def verify_gallai_partition_reference(g: ColoredCompleteGraph, p: GallaiPartitio
                             f"edge ({u}, {v}) has color {c}, part pair ({i}, {j}) "
                             f"is recorded as color {recorded}"
                         )
-                        if first_violation is None:
-                            first_violation = (u, v)
                         break
                 else:
                     continue
                 break
-    return PartitionCheck(
-        ok=not problems, problems=tuple(problems), first_violation=first_violation
-    )
+    return tuple(problems)
 
 
 def faulty_graph_file(rng: random.Random) -> bytes:

@@ -4,6 +4,8 @@ import io
 import math
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import EntryPoint
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import gallai_ramsey.cli
 from gallai_ramsey.cli import run
@@ -19,11 +21,14 @@ from gallai_ramsey.colored_graph import (
     MAX_ORDER,
     ColoredCompleteGraph,
     ParameterError,
+    join,
+    new_monochromatic,
     read_graph,
     write_graph,
 )
 from gallai_ramsey.constructions import build_G62, build_G82
 from gallai_ramsey.gallai import GallaiPartition
+from helpers import faulty_graph_file
 
 
 def _first_line(capsys) -> str:
@@ -101,8 +106,12 @@ def test_construct_writes_partition_reduce_roundtrip(tmp_path, capsys):
 
 def test_construct_no_verify(capsys):
     assert run(["construct", "--family", "g82", "--k", "5", "--no-verify"]) == 0
-    line = _first_line(capsys)
-    assert "order=176" in line and "rainbow=skipped" in line
+    assert capsys.readouterr().out == "family=g82 k=5 t=8 r=2 order=176 rainbow=skipped monoS=skipped\n"
+
+
+def test_unverified_report_line(capsys):
+    assert run(["construct", "--family", "g62", "--k", "5", "--no-verify"]) == 0
+    assert capsys.readouterr().out == "family=g62 k=5 t=6 r=2 order=127 rainbow=skipped monoS=skipped\n"
 
 
 def test_construct_general_r_list(capsys):
@@ -115,6 +124,26 @@ def test_construct_missing_flag(capsys):
     assert run(["construct", "--family", "g62"]) == 2
     assert run(["construct", "--family", "two-clique"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--family", "g62", "--k", "3", "--t", "9"], "t"),
+        (["--family", "g62", "--k", "3", "--r", "3"], "r"),
+        (["--family", "g82", "--k", "3", "--t", "9"], "t"),
+        (["--family", "g82", "--k", "3", "--r", "3"], "r"),
+        (["--family", "two-clique", "--t", "9", "--k", "5"], "k"),
+        (["--family", "two-clique", "--t", "9", "--r", "2"], "r"),
+    ],
+    ids=["g62-t", "g62-r", "g82-t", "g82-r", "two-clique-k", "two-clique-r"],
+)
+def test_construct_refuses_a_flag_its_family_does_not_read(argv, flag, tmp_path, capsys):
+    # certifying a pattern other than the one asked for would pass silently
+    out = tmp_path / "g.txt"
+    assert run(["construct", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"usage error: --{flag} is not used by --family {argv[1]}\n")
+    assert not out.exists()
 
 
 def test_verify_detects_violation(tmp_path, capsys):
@@ -132,7 +161,14 @@ def test_partition_rainbow_exit(tmp_path, capsys):
     assert run(["partition", "--in", path]) == 1
     assert _first_line(capsys) == "rainbow=0,1,2 colors=1,2,3"
     assert run(["reduce", "--in", path]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().out == "rainbow=0,1,2 colors=1,2,3\n"
+
+
+def test_partition_report(tmp_path, capsys):
+    path = str(tmp_path / "g.txt")
+    write_graph(join(new_monochromatic(2, 2, 1), new_monochromatic(2, 2, 1), 2), path)
+    assert run(["partition", "--in", path]) == 0
+    assert capsys.readouterr().out == "parts=2 colors=2\n0 1\n2 3\n"
 
 
 def _recolored_pair(p):
@@ -140,29 +176,37 @@ def _recolored_pair(p):
     return GallaiPartition(p.parts, p.between_colors, {**p.part_pair_color, (0, 1): wrong})
 
 
+_CORRUPTIONS = [
+    ("trivial", lambda p: GallaiPartition((tuple(range(25)),), frozenset(), {}),
+     "partition is trivial (fewer than 2 parts)"),
+    ("recolored-pair", _recolored_pair,
+     "edge (0, 5) has color 2, part pair (0, 1) is recorded as color 3"),
+    # a ParameterError from the checker is a failed verification too
+    ("vertex-twice",
+     lambda p: GallaiPartition(p.parts + (p.parts[0],), p.between_colors, p.part_pair_color),
+     "vertex 0 appears in two parts"),
+]
+
+
 @pytest.mark.parametrize(
-    "corrupt, problem",
-    [
-        (lambda p: GallaiPartition((tuple(range(25)),), frozenset(), {}),
-         "partition is trivial (fewer than 2 parts)"),
-        (_recolored_pair, "edge (0, 5) has color 2, part pair (0, 1) is recorded as color 3"),
-        # a ParameterError from the checker is a failed verification too
-        (lambda p: GallaiPartition(p.parts + (p.parts[0],), p.between_colors, p.part_pair_color),
-         "vertex 0 appears in two parts"),
-    ],
-    ids=["trivial", "recolored-pair", "vertex-twice"],
+    "cmd, corrupt, problem",
+    [pytest.param(cmd, corrupt, problem, id=case if cmd == "partition" else f"{cmd}-{case}")
+     for cmd in ("partition", "reduce") for case, corrupt, problem in _CORRUPTIONS],
 )
 def test_partition_exits_1_when_its_partition_fails_verification(
-    tmp_path, capsys, monkeypatch, corrupt, problem
+    tmp_path, capsys, monkeypatch, cmd, corrupt, problem
 ):
     path = str(tmp_path / "g.txt")
+    out_path = tmp_path / "red.txt"
     write_graph(build_G62(3, verify=False).graph, path)
     found = gallai_ramsey.cli.find_gallai_partition
     monkeypatch.setattr(gallai_ramsey.cli, "find_gallai_partition", lambda g: corrupt(found(g)))
-    assert run(["partition", "--in", path]) == 1
+    extra = ["--out", str(out_path)] if cmd == "reduce" else []
+    assert run([cmd, "--in", path, *extra]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"partition failed verification: {problem}\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(
@@ -290,6 +334,44 @@ def _run_quiet(argv: list[str]) -> int:
     if code == 2:
         assert err.getvalue().startswith(("error:", "usage error:"))
     return code
+
+
+# the result line of each file-reading subcommand that exits 0
+_FIRST_LINE = {
+    "verify": r"ok=true n=\d+ k=\d+ t=\d+ r=\d+",
+    "partition": r"parts=\d+ colors=\d+(,\d+)?",
+    "reduce": r"reduced n=\d+ colors=\d+(,\d+)?",
+}
+
+
+@pytest.mark.property_based
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10**9),
+       argv=st.sampled_from([["partition"], ["reduce"], ["reduce", "--out"]])
+       | st.builds(lambda t, r: ["verify", f"--t={t}", f"--r={r}"],
+                   st.integers(1, 12), st.integers(0, 5)))
+def test_file_reading_subcommands_exit_with_a_code_never_a_traceback(seed, argv, tmp_path):
+    # the malformed-input model of the reader, through every subcommand that reads a file
+    src, red = tmp_path / "g.txt", tmp_path / "red.txt"
+    src.write_bytes(faulty_graph_file(random.Random(seed)))
+    red.unlink(missing_ok=True)
+    cmd, *rest = argv
+    writes = rest == ["--out"]
+    if writes:
+        rest = ["--out", str(red)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([cmd, "--in", str(src), *rest])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert re.fullmatch(_FIRST_LINE[cmd], lines[0])
+        if cmd == "reduce":
+            assert lines[1].startswith("representatives: ")
+    assert red.exists() == (code == 0 and writes)
 
 
 def _valid_or_any(lo: int, hi: int) -> st.SearchStrategy[int]:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gallai_ramsey.gallai
+from gallai_ramsey.cli import run
 from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
     ParameterError,
     blowup_pentagon,
     join,
     new_monochromatic,
+    write_graph,
 )
 from gallai_ramsey.constructions import build_G62, build_G82
 from gallai_ramsey.gallai import (
@@ -20,7 +22,6 @@ from gallai_ramsey.gallai import (
     coarsest_partition_over_pairs,
     find_gallai_partition,
     find_rainbow_triangle,
-    format_partition_report,
     reduced_graph,
     verify_gallai_partition,
 )
@@ -52,7 +53,7 @@ def test_both_classes_connected_gives_singletons():
     assert isinstance(p, GallaiPartition)
     assert p.parts == ((0,), (1,), (2,), (3,), (4,))
     assert p.between_colors == frozenset({1, 2})
-    assert verify_gallai_partition(g, p).ok
+    assert verify_gallai_partition(g, p) == ()
 
 
 def test_join_two_parts():
@@ -62,7 +63,7 @@ def test_join_two_parts():
     assert len(p.parts) == 2
     assert p.parts == ((0, 1, 2, 3), (4, 5, 6))
     assert p.part_pair_color == {(0, 1): 2}
-    assert verify_gallai_partition(g, p).ok
+    assert verify_gallai_partition(g, p) == ()
 
 
 def test_monochromatic_partitions():
@@ -73,7 +74,7 @@ def test_monochromatic_partitions():
     assert len(p.parts) == 6
     c = coarsest_partition_over_pairs(g)
     assert len(c.parts) == 2
-    assert verify_gallai_partition(g, c).ok
+    assert verify_gallai_partition(g, c) == ()
 
 
 def test_blowup_pentagon_partition():
@@ -84,7 +85,7 @@ def test_blowup_pentagon_partition():
     assert isinstance(p, GallaiPartition)
     assert len(p.parts) == 5
     assert set(p.part_pair_color.values()) <= {2, 3}
-    assert verify_gallai_partition(g, p).ok
+    assert verify_gallai_partition(g, p) == ()
 
 
 def test_blowup_reduced_graph_is_triangle_free():
@@ -93,10 +94,10 @@ def test_blowup_reduced_graph_is_triangle_free():
     c = coarsest_partition_over_pairs(g)
     assert len(c.parts) == 5
     rg = reduced_graph(g, c)
-    assert rg.graph.n == 5
-    assert sorted(rg.graph.used_colors()) == [2, 3]
+    assert rg.n == 5
+    assert sorted(rg.used_colors()) == [2, 3]
     for a, b, d in combinations(range(5), 3):
-        cols = {rg.graph.color(a, b), rg.graph.color(a, d), rg.graph.color(b, d)}
+        cols = {rg.color(a, b), rg.color(a, d), rg.color(b, d)}
         assert len(cols) > 1
 
 
@@ -168,10 +169,9 @@ def test_verify_flags_inhomogeneous_pair():
     p = GallaiPartition(
         parts=((0, 1), (2, 3)), between_colors=frozenset({1}), part_pair_color={(0, 1): 1}
     )
-    check = verify_gallai_partition(g, p)
-    assert not check.ok
-    assert check.problems
-    assert check.first_violation == (0, 2)
+    assert verify_gallai_partition(g, p) == (
+        "edge (0, 2) has color 2, part pair (0, 1) is recorded as color 1",
+    )
 
 
 def test_verify_flags_wrong_recorded_color():
@@ -179,8 +179,9 @@ def test_verify_flags_wrong_recorded_color():
     p = GallaiPartition(
         parts=((0, 1), (2, 3)), between_colors=frozenset({1}), part_pair_color={(0, 1): 1}
     )
-    check = verify_gallai_partition(g, p)
-    assert not check.ok
+    assert verify_gallai_partition(g, p) == (
+        "edge (0, 2) has color 2, part pair (0, 1) is recorded as color 1",
+    )
 
 
 @pytest.mark.property_based
@@ -216,21 +217,27 @@ def test_verify_matches_reference_on_bad_partitions(seed, faults):
     assert verify_gallai_partition(g, bad) == verify_gallai_partition_reference(g, bad)
 
 
-def test_reduced_graph_representatives():
+def _reduce_lines(g: ColoredCompleteGraph, tmp_path, capsys) -> list[str]:
+    path = str(tmp_path / "g.txt")
+    write_graph(g, path)
+    assert run(["reduce", "--in", path]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_reduced_graph_representatives(tmp_path, capsys):
     g = join(new_monochromatic(4, 2, 1), new_monochromatic(3, 2, 1), 2)
     p = find_gallai_partition(g)
     rg = reduced_graph(g, p)
-    assert rg.representatives == (0, 4)
-    assert rg.graph.n == 2
-    assert rg.graph.color(0, 1) == 2
+    assert rg.n == 2
+    assert rg.color(0, 1) == 2
+    assert _reduce_lines(g, tmp_path, capsys) == ["reduced n=2 colors=2", "representatives: 0 4"]
 
 
-def test_reduced_graph_of_singleton_partition_copies_colors():
+def test_reduced_graph_of_singleton_partition_copies_colors(tmp_path, capsys):
     g = pentagon_k5()
     p = find_gallai_partition(g)
-    rg = reduced_graph(g, p)
-    assert rg.representatives == (0, 1, 2, 3, 4)
-    assert rg.graph == g
+    assert reduced_graph(g, p) == g
+    assert _reduce_lines(g, tmp_path, capsys)[1] == "representatives: 0 1 2 3 4"
 
 
 def test_reduced_graph_rejects_invalid_partition():
@@ -239,18 +246,8 @@ def test_reduced_graph_rejects_invalid_partition():
     p = GallaiPartition(
         parts=((0, 1), (2, 3)), between_colors=frozenset({1}), part_pair_color={(0, 1): 1}
     )
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^edge \(0, 2\) has color 2, part pair"):
         reduced_graph(g, p)
-
-
-def test_format_partition_report():
-    g = join(new_monochromatic(2, 2, 1), new_monochromatic(2, 2, 1), 2)
-    p = find_gallai_partition(g)
-    text = format_partition_report(p)
-    lines = text.splitlines()
-    assert lines[0] == "parts=2 colors=2"
-    assert lines[1] == "0 1"
-    assert lines[2] == "2 3"
 
 
 def test_sampler_output_admits_partition():
@@ -263,9 +260,9 @@ def test_sampler_output_admits_partition():
         assert find_rainbow_triangle(g) is None
         p = find_gallai_partition(g)
         assert isinstance(p, GallaiPartition)
-        assert verify_gallai_partition(g, p).ok
+        assert verify_gallai_partition(g, p) == ()
         rg = reduced_graph(g, p)
-        assert len(rg.graph.used_colors()) <= 2
+        assert len(rg.used_colors()) <= 2
 
 
 def _planted_graph(rng, k):
@@ -302,7 +299,7 @@ def test_planted_partition_recovered_or_refined(seed):
     if isinstance(res, RainbowTriangle):
         assert res.validate(g)
         return
-    assert verify_gallai_partition(g, res).ok
+    assert verify_gallai_partition(g, res) == ()
     cover = {v: i for i, blk in enumerate(planted) for v in blk}
     for part in res.parts:
         owners = {cover[v] for v in part}
@@ -327,11 +324,11 @@ def test_partition_or_rainbow_dichotomy(seed):
     else:
         # note: a partition may exist even with a rainbow triangle hiding
         # inside one part, so only soundness is asserted here
-        assert verify_gallai_partition(g, res).ok
+        assert verify_gallai_partition(g, res) == ()
         assert 2 <= len(res.parts) <= n
         cval = coarsest_partition_over_pairs(g)
         assert isinstance(cval, GallaiPartition)
-        assert verify_gallai_partition(g, cval).ok
+        assert verify_gallai_partition(g, cval) == ()
         assert len(cval.parts) <= len(res.parts)
     if find_rainbow_triangle(g) is None:
         # completeness: rainbow-free colorings always partition

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gallai_ramsey.patterns
+from gallai_ramsey.cli import run
 from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError, write_graph
 from gallai_ramsey.constructions import build_G62, two_clique_witness
 from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition, find_rainbow_triangle
@@ -360,13 +362,27 @@ def test_symmetry_reduction_only_drops_duplicates():
         assert reduced == full
 
 
-def test_verify_construction_all_clear():
-    rep = verify_construction(two_clique_witness(6, verify=False).graph, SPattern(6, 2))
+def _verify_lines(g, t, r, tmp_path, capsys) -> list[str]:
+    """Stdout of ``verify`` on g, line by line; the closing elapsed line is
+    checked for its form and dropped."""
+    path = str(tmp_path / "g.txt")
+    write_graph(g, path)
+    code = run(["verify", "--in", path, "--t", str(t), "--r", str(r)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == (0 if lines[0].startswith("ok=true ") else 1)
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds", lines[-1])
+    return lines[:-1]
+
+
+def test_verify_construction_all_clear(tmp_path, capsys):
+    g = two_clique_witness(6, verify=False).graph
+    rep = verify_construction(g, SPattern(6, 2))
     assert rep.ok and rep.rainbow is None and not rep.mono_witnesses
-    assert rep.lines()[0] == "rainbow: none"
+    assert _verify_lines(g, 6, 2, tmp_path, capsys) == [
+        "ok=true n=10 k=2 t=6 r=2", "rainbow: none", "pattern: none in any color"]
 
 
-def test_verification_report_stage_timings():
+def test_verification_report_stage_timings(tmp_path, capsys):
     g = build_G62(3, verify=False).graph
     rep = verify_construction(g, SPattern(6, 2))
     assert rep.rainbow_s >= 0
@@ -374,10 +390,11 @@ def test_verification_report_stage_timings():
     assert all(s >= 0 for s in rep.mono_s.values())
     assert rep.rainbow_s + sum(rep.mono_s.values()) <= rep.elapsed
     # the text report is unchanged by the timings
-    assert rep.lines()[:2] == ["rainbow: none", "pattern: none in any color"]
+    assert _verify_lines(g, 6, 2, tmp_path, capsys) == [
+        "ok=true n=25 k=3 t=6 r=2", "rainbow: none", "pattern: none in any color"]
 
 
-def test_mutate_between_blocks_creates_rainbow():
+def test_mutate_between_blocks_creates_rainbow(tmp_path, capsys):
     rng = random.Random(5)
     g = build_G62(3, verify=False).graph
     for _ in range(20):
@@ -391,9 +408,11 @@ def test_mutate_between_blocks_creates_rainbow():
         rep = verify_construction(mutated, SPattern(6, 2))
         assert not rep.ok
         assert rep.rainbow is not None and rep.rainbow.validate(mutated)
+        assert _verify_lines(mutated, 6, 2, tmp_path, capsys)[:2] == [
+            "ok=false n=25 k=3 t=6 r=2", f"rainbow: {rep.rainbow.vertices}"]
 
 
-def test_mutate_cross_edge_creates_mono_pattern():
+def test_mutate_cross_edge_creates_mono_pattern(tmp_path, capsys):
     g = two_clique_witness(6, verify=False).graph
     mutated = g.copy()
     mutated.set_color(0, 5, 1)  # vertex 5 sits in the other clique
@@ -401,6 +420,8 @@ def test_mutate_cross_edge_creates_mono_pattern():
     assert not rep.ok
     w = rep.mono_witnesses[1]
     assert w.validate(mutated, SPattern(6, 2))
+    assert _verify_lines(mutated, 6, 2, tmp_path, capsys) == [
+        "ok=false n=10 k=2 t=6 r=2", "rainbow: none", f"color 1: pattern at center {w.center}"]
 
 
 @pytest.mark.parametrize("seed", range(3))
