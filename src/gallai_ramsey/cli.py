@@ -3,7 +3,8 @@
 Every subcommand prints one machine-parseable result line first, then
 human-readable detail.  Exit codes: 0 success or all-clear, 1 verification
 failure (rainbow triangle, monochromatic pattern, or a witness or partition
-that fails re-verification), 2 usage error, 3 search budget exceeded.
+that fails re-verification), 2 usage error, 3 search budget exceeded, 141
+stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 This module is the only one that renders results as text; the library
 returns data.
 """
@@ -11,6 +12,7 @@ returns data.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -46,6 +48,8 @@ from .search import (
 )
 
 __all__ = ["run", "main"]
+
+_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -285,6 +289,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # no one is left to read an error line
+        return _BROKEN_PIPE
     except (ParameterError, GraphParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -294,4 +300,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # where stdout is block-buffered, a closed pipe shows here
+    except BrokenPipeError:
+        code = _BROKEN_PIPE
+    if code == _BROKEN_PIPE:
+        # so that the interpreter's own flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

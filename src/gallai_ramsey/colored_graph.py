@@ -16,7 +16,8 @@ a time are gathered into a byte block, each row padded to whole 8-byte lanes.
 Per group of 8 colors one ``bytes.translate`` turns the block into one bit per
 color per byte, and an 8x8 bit transpose of every lane, run on the whole block
 as one integer, leaves each color's row bits in every 8th byte, so no n x n
-matrix is ever held.
+matrix is ever held.  The same shape, walked as template nodes, is where the
+Gallai tree of ``gallai.find_rainbow_triangle`` starts.
 
 Every lower-bound coloring this package generates is a tower of blow-ups,
 each assembling the new table from row slices (``row_bytes``).  ``blowup``
@@ -75,8 +76,8 @@ plus 12.5 MB per color at 10,000, what a small machine can give one process.
 Past it a tower or a sample runs out of memory, or for hours, instead of
 failing.  The largest order the tests and CI build is 4,406 (``build_G82(9)``).
 G62(10) and G82(10) (6,406 and 8,812 vertices) still fit: with its rows
-composed from its shape, G82(10) is built and certified in about 1 s on a
-2-core x86-64 host.
+composed from its shape and its Gallai tree started there, G82(10) is built
+and certified in about 0.7 s and 114 MB on a 2-core x86-64 host (CPython 3.11).
 """
 
 
@@ -129,8 +130,8 @@ def _transposed_rows(n: int, k: int, colors: bytes | bytearray) -> dict[int, lis
     return rows
 
 
-def _composed_rows(n: int, k: int, colors: bytearray, shape: tuple) -> dict[int, list[int]]:
-    """Rows of a blow-up of ``shape`` whose table is ``colors``, block by block.
+def _composed_rows(n: int, k: int, colors: bytearray, nodes: Iterator) -> dict[int, list[int]]:
+    """Rows of a blow-up whose table is ``colors``, from its template ``nodes``.
 
     A vertex's row is its leaf block's row shifted to the block's first vertex,
     ORed with the masks its enclosing parts inherit in each color.  The color
@@ -143,34 +144,28 @@ def _composed_rows(n: int, k: int, colors: bytearray, shape: tuple) -> dict[int,
     rows = {c: [0] * n for c in range(1, k + 1)}
     table = memoryview(colors)
     leaves: dict[bytes, dict[int, list[int]]] = {}
-    stack = [(shape, 0, [0] * (k + 1))]  # (parts, first vertex, mask inherited per color)
-    while stack:
-        parts, o, inherited = stack.pop()
-        firsts, masks = [], []
-        for part in parts:
-            m = part if type(part) is int else part[1]
-            firsts.append(o)
-            masks.append(((1 << m) - 1) << o)
-            o += m
-        for part, a in zip(parts, firsts):
-            inh = inherited.copy()
-            for b, mask in zip(firsts, masks):
+    inherited = {0: [0] * (k + 1)}  # mask per color of each pending node, by its first vertex
+    for node in nodes:
+        above = inherited.pop(node[0][0])
+        masks = [(1 << e) - (1 << b) for b, e, _ in node]
+        for a, e, is_leaf in node:
+            inh = above.copy()
+            for (b, _, _), mask in zip(node, masks):
                 if b != a:
                     inh[table[at(a, b) if a < b else at(b, a)]] |= mask
-            if type(part) is not int:
-                stack.append((part[0], a, inh))
-            elif part == 1:
+            if not is_leaf:
+                inherited[a] = inh
+            elif e - a == 1:
                 for c in range(1, k + 1):
                     rows[c][a] = inh[c]
             else:
-                end = a + part - 1
-                key = b"".join(table[at(u, u + 1) : at(u, end) + 1] for u in range(a, end))
+                key = b"".join(table[at(u, u + 1) : at(u, e - 1) + 1] for u in range(a, e - 1))
                 leaf = leaves.get(key)
                 if leaf is None:
-                    leaf = leaves[key] = _transposed_rows(part, k, key)
+                    leaf = leaves[key] = _transposed_rows(e - a, k, key)
                 for c in range(1, k + 1):
                     h = inh[c]
-                    rows[c][a : a + part] = [r << a | h for r in leaf[c]]
+                    rows[c][a:e] = [r << a | h for r in leaf[c]]
     return rows
 
 
@@ -249,7 +244,27 @@ class ColoredCompleteGraph:
     def _build_rows(self) -> dict[int, list[int]]:
         if self._shape is None:
             return _transposed_rows(self.n, self.k, self._colors)
-        return _composed_rows(self.n, self.k, self._colors, self._shape)
+        return _composed_rows(self.n, self.k, self._colors, self._template_nodes())
+
+    def _template_nodes(self) -> Iterator[list[tuple[int, int, bool]]]:
+        """The template nodes of the shape this graph holds, each before those in its parts.
+
+        A node lists its parts as (first vertex, end, leaf), a leaf part being a
+        block with no shape of its own.  A graph with no shape is one node whose
+        one part is a leaf block of all its vertices.
+        """
+        stack = [((self.n,) if self._shape is None else self._shape, 0)]
+        while stack:
+            parts, o = stack.pop()
+            node = []
+            for part in parts:
+                leaf = type(part) is int
+                m = part if leaf else part[1]
+                if not leaf:
+                    stack.append((part[0], o))
+                node.append((o, o + m, leaf))
+                o += m
+            yield node
 
     def rows(self, c: int) -> list[int]:
         """All adjacency bitsets for color c, indexed by vertex; treat as read-only."""

@@ -46,6 +46,15 @@ A set that does not split holds a rainbow triangle, and the direct scan
 ``patterns.scan_rainbow_triangle`` of the whole graph then names the
 lexicographically first one, so the result equals the scan's on every input.
 
+A graph made by ``blowup`` already records the top of its tree in its shape,
+so its tree starts there instead of at the whole vertex set.  A triangle
+across three parts of a template node has the template's colors, read at the
+parts' first vertices; one with two vertices in a part repeats a color; one
+inside a part lies in that part's subtree.  So only the templates with 3
+colors or more, as the sets of their parts' first vertices, and the leaf
+blocks need checking, and a sample, whose templates use 2 colors over
+single-vertex blocks, is certified without building any rows.
+
 ``verify_gallai_partition`` returns a partition's problems as text, empty
 when it is valid, and ``reduced_graph`` runs it on the partition it is
 given before it builds the plain colored graph on the parts.  The module
@@ -55,6 +64,7 @@ returns data only; ``cli`` renders it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Optional, Union
 
 from gallai_ramsey.colored_graph import (
@@ -225,8 +235,19 @@ def find_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
     vertex set splits down to leaves, g has no rainbow triangle.  A set that
     does not split holds one (Gallai's theorem), and the direct scan of the
     whole graph then names the lexicographically first.
+
+    A blow-up's tree starts from its shape, which splits every vertex set it
+    covers: a template node whose part pairs use at most 2 colors is a leaf,
+    one with more is the set of its parts' first vertices, and each leaf block
+    is a set of its own.  A graph with no shape is one leaf block, so its tree
+    starts from the whole vertex set.
     """
-    stack = [(1 << g.n) - 1]
+    stack = []
+    for node in g._template_nodes():
+        firsts = [a for a, _, _ in node]
+        if len({g.color(a, b) for a, b in combinations(firsts, 2)}) > 2:
+            stack.append(sum(1 << a for a in firsts))
+        stack += [(1 << e) - (1 << a) for a, e, leaf in node if leaf and e - a > 2]
     while stack:
         S = stack.pop()
         if S.bit_count() < 3:

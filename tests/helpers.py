@@ -11,6 +11,7 @@ from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
     GraphParseError,
     ParameterError,
+    blowup,
     lsb_index,
 )
 from gallai_ramsey.gallai import GallaiPartition
@@ -69,6 +70,19 @@ def random_blowup(rng: random.Random, m: int, max_part: int, k: int) -> ColoredC
             a, b = part_of[u], part_of[v]
             buf.append(inner[a] if a == b else template.color(a, b))
     return ColoredCompleteGraph(len(part_of), k, buf)
+
+
+def random_nested_blowup(rng: random.Random, k: int, depth: int) -> ColoredCompleteGraph:
+    """A blow-up of random templates whose parts repeat a few objects, some of
+    them with rows built, nested up to ``depth`` levels over random leaf blocks."""
+    if depth == 0:
+        return random_graph(rng, rng.randint(1, 4), k)
+    pool = [random_nested_blowup(rng, k, rng.randrange(depth)) for _ in range(rng.randint(1, 3))]
+    for part in pool:
+        if rng.random() < 0.3:
+            part.rows(1)
+    template = random_graph(rng, rng.randint(1, 4), k)
+    return blowup(template, [rng.choice(pool) for _ in range(template.n)])
 
 
 def rainbow_free_3colorings(n: int):

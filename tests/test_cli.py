@@ -432,3 +432,43 @@ def test_console_script_runs(tmp_path):
     assert proc.returncode == 2
     assert "usage error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+class _ClosedAfterOneLine(io.StringIO):
+    """A stdout whose reader goes away once the first line has been written."""
+
+    def write(self, text: str) -> int:
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_closed_stdout_exits_141_after_writing_the_file(tmp_path):
+    path = tmp_path / "s.txt"
+    out, err = _ClosedAfterOneLine(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["sample", "--k", "12", "--n", "300", "--seed", "1", "--out", str(path)])
+    assert code == 141
+    assert out.getvalue() == "sample n=300 k=12 seed=1 rainbow=none\n"
+    assert err.getvalue() == ""
+    assert read_graph(str(path)).n == 300
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "block-buffered"])
+def test_stdout_pipe_closed_before_start_exits_141_quietly(unbuffered, tmp_path):
+    # the read end is closed first, so every write to stdout fails with EPIPE:
+    # in print() when unbuffered, else in the flush before exit
+    src = str(pathlib.Path(gallai_ramsey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gallai_ramsey", "sample", "--k", "4", "--n", "30"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

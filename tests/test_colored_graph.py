@@ -30,6 +30,7 @@ from helpers import (
     has_mono_triangle_slow,
     has_rainbow_triangle_slow,
     random_graph,
+    random_nested_blowup,
     read_graph_reference,
 )
 
@@ -562,23 +563,11 @@ def test_composed_rows_match_reference_on_samples(k, n, seed):
     _assert_rows_match_reference(random_gallai_sampler(k, n, seed))
 
 
-def _random_blowup(rng, k, depth):
-    """A blow-up whose parts repeat a few objects, some of them with rows built."""
-    if depth == 0:
-        return random_graph(rng, rng.randint(1, 4), k)
-    pool = [_random_blowup(rng, k, rng.randrange(depth)) for _ in range(rng.randint(1, 3))]
-    for part in pool:
-        if rng.random() < 0.3:
-            part.rows(1)
-    template = random_graph(rng, rng.randint(1, 4), k)
-    return blowup(template, [rng.choice(pool) for _ in range(template.n)])
-
-
 @pytest.mark.property_based
 @given(seed=st.integers(0, 10**6), k=st.integers(1, 12), depth=st.integers(1, 4))
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_composed_rows_match_reference_on_nested_blowups(seed, k, depth):
-    _assert_rows_match_reference(_random_blowup(random.Random(seed), k, depth))
+    _assert_rows_match_reference(random_nested_blowup(random.Random(seed), k, depth))
 
 @pytest.mark.property_based
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 30), k=st.integers(1, 255))

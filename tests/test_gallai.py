@@ -16,7 +16,7 @@ from gallai_ramsey.colored_graph import (
     new_monochromatic,
     write_graph,
 )
-from gallai_ramsey.constructions import build_G62, build_G82
+from gallai_ramsey.constructions import build_G62, build_G82, build_general_lower
 from gallai_ramsey.gallai import (
     GallaiPartition,
     coarsest_partition_over_pairs,
@@ -32,6 +32,7 @@ from helpers import (
     gallai_partition_reference,
     rainbow_free_3colorings,
     random_graph,
+    random_nested_blowup,
     verify_gallai_partition_reference,
 )
 
@@ -397,16 +398,36 @@ def test_tree_certifies_every_rainbow_free_class(no_scan_fallback):
 
 
 def test_tree_certifies_towers_and_samples(no_scan_fallback):
-    for build in (build_G62, build_G82):
-        for k in range(2, 7):
-            assert find_rainbow_triangle(build(k, verify=False).graph) is None
+    # from the blow-up's shape, and through a copy, which holds none
+    graphs = [build(k, verify=False).graph for build in (build_G62, build_G82) for k in range(2, 7)]
+    graphs += [build_general_lower(k, t, 1, verify=False).graph
+               for k, t in ((1, 4), (2, 5), (3, 7), (4, 6), (5, 9), (6, 4), (7, 5))]
     for seed in range(40):
         rng = random.Random(seed)
-        g = random_gallai_sampler(rng.randint(1, 6), rng.randint(1, 200), seed)
+        graphs.append(random_gallai_sampler(rng.randint(1, 6), rng.randint(1, 200), seed))
+    for g in graphs:
+        assert find_rainbow_triangle(g) is None
+        assert find_rainbow_triangle(g.copy()) is None
+
+
+def test_sample_is_certified_without_rows(monkeypatch):
+    # every template of the sampler is 2-colored and every leaf block one
+    # vertex, so its shape alone certifies it
+    def fail(self):
+        raise AssertionError("a sample's certificate built colour rows")
+
+    monkeypatch.setattr(ColoredCompleteGraph, "_build_rows", fail)
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = random_gallai_sampler(rng.randint(1, 255), rng.randint(1, 500), seed)
         assert find_rainbow_triangle(g) is None
 
 
 def _recolored_inputs(family, seed):
+    if family == "nested":
+        # not recolored: random templates and leaf blocks, so some are rainbow
+        rng = random.Random(seed)
+        return [random_nested_blowup(rng, rng.randint(1, 6), rng.randint(1, 4))]
     if family == "sampler":
         rng = random.Random(seed)
         k, n = rng.randint(1, 6), rng.randint(3, 200)
@@ -427,12 +448,15 @@ def _recolored_inputs(family, seed):
 
 
 @pytest.mark.property_based
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(family=st.just("sampler"), seed=st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(family=st.sampled_from(("sampler", "nested")),
+       seed=st.integers(min_value=0, max_value=10**9))
 @example(family="g62", seed=0)
 @example(family="g82", seed=0)
 def test_tree_matches_scan_on_recolored_gallai_colorings(family, seed):
-    # recolored edges put rainbow triangles deep inside the tree; the
-    # triangle itself must be the scan's lexicographically first one
+    # recolored edges put rainbow triangles deep inside the tree, and a nested
+    # blow-up's rainbow templates and leaf blocks lie in its shape; the triangle
+    # must be the scan's lexicographically first one, from the shape or without it
     for g in _recolored_inputs(family, seed):
-        assert find_rainbow_triangle(g) == scan_rainbow_triangle(g)
+        tri = scan_rainbow_triangle(g)
+        assert find_rainbow_triangle(g) == tri == find_rainbow_triangle(g.copy())
