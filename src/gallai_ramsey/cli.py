@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, help="number of colors (g62/g82/general)")
     p.add_argument("--t", type=int, help="pattern order (two-clique/general)")
     p.add_argument("--r", type=_int_list, default=None,
-                   help="matching sizes to certify against, comma-separated (general)")
+                   help="matching sizes to certify, comma-separated (general; default all admissible)")
     p.add_argument("--out", help="write the graph file here")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the rainbow/pattern certification pass")
@@ -156,7 +156,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif fam == "g82":
         rep = build_G82(args.k, verify=verify)
     else:
-        rep = build_general_lower(args.k, args.t, args.r or 2, verify=verify)
+        rep = build_general_lower(args.k, args.t, args.r, verify=verify)
     tail = "rainbow=none monoS=none" if verify else "rainbow=skipped monoS=skipped"
     g = rep.graph
     print(f"family={fam} k={g.k} t={rep.t} r={_joined(rep.r)} order={g.n} {tail}")
@@ -195,12 +195,13 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     except ParameterError as exc:  # the partition fails its own check
         print(f"partition failed verification: {exc}", file=sys.stderr)
         return 1
+    colors = _joined(red.used_colors())
     if args.cmd == "partition":
-        print(f"parts={len(result.parts)} colors={_joined(sorted(result.between_colors))}")
+        print(f"parts={len(result.parts)} colors={colors}")
         for part in result.parts:
             print(" ".join(str(v) for v in part))
         return 0
-    print(f"reduced n={red.n} colors={_joined(sorted(red.used_colors()))}")
+    print(f"reduced n={red.n} colors={colors}")
     print("representatives: " + " ".join(str(min(part)) for part in result.parts))
     _maybe_write(red, args.out)
     return 0

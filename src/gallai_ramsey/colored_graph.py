@@ -195,9 +195,10 @@ class ColoredCompleteGraph:
             raise ParameterError(f"color table has {len(table)} entries, expected {npairs}")
         ids = bytes(range(1, k + 1))
         for i in range(0, npairs, _SCAN):
-            if table[i : i + _SCAN].translate(None, ids):
-                bad = [c for c in set(table) if not 1 <= c <= k]
-                raise ParameterError(f"color id {bad[0]} outside 1..{k}")
+            scan = table[i : i + _SCAN]
+            if scan.translate(None, ids):
+                bad = scan[len(scan) - len(scan.lstrip(ids))]  # the first, in table order
+                raise ParameterError(f"color id {bad} outside 1..{k}")
         self.n, self.k, self._colors = n, k, table
         self._rows: dict[int, list[int]] | None = None
         self._shape: tuple | None = None  # set by blowup while the table is its blow-up

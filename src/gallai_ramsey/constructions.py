@@ -81,6 +81,11 @@ def _finish(
     return ConstructionReport(graph=g, t=t, r=rs)
 
 
+def _admissible_r(t: int) -> tuple[int, ...]:
+    """Every matching size r that S_t^r admits: 1 <= r <= (t-1)/2."""
+    return tuple(range(1, (t - 1) // 2 + 1))
+
+
 def two_clique_witness(t: int, verify: bool = True) -> ConstructionReport:
     """Two K_{t-1} cliques in color 1 with all color-2 edges between them.
 
@@ -91,8 +96,7 @@ def two_clique_witness(t: int, verify: bool = True) -> ConstructionReport:
     if t < 3:
         raise ParameterError(f"need t >= 3, got {t}")
     order = _order_below(gr_Str_bounds(2, t, 1)[0], 2)  # before anything sized by t
-    rs = tuple(range(1, (t - 1) // 2 + 1))
-    return _finish("two-clique", _general_core(2, t, 2), order, t, rs, verify)
+    return _finish("two-clique", _general_core(2, t, 2), order, t, _admissible_r(t), verify)
 
 
 def matched_clique(
@@ -191,17 +195,20 @@ def _general_core(level: int, t: int, k: int) -> ColoredCompleteGraph:
 def build_general_lower(
     k: int,
     t: int,
-    r: Union[int, Iterable[int]] = 2,
+    r: Union[int, Iterable[int], None] = None,
     verify: bool = True,
 ) -> ConstructionReport:
     """Tower of pentagon blow-ups (odd k) and joins (even k) over K_{t-1}.
 
     Every color class is a disjoint union of cliques of order < t or a
     blown-up triangle-free graph, so no S_t^r appears for any r >= 1; the
-    detectors re-check this for the requested r values.
+    detectors re-check this for the requested r values, by default every
+    admissible one.
     """
     if k < 1 or t < 4:
         raise ParameterError(f"need k >= 1 and t >= 4, got k={k}, t={t}")
+    if r is None:
+        r = _admissible_r(t)
     rs = (r,) if isinstance(r, int) else tuple(r)
     if not rs:
         raise ParameterError("need at least one r to certify")

@@ -55,10 +55,11 @@ colors or more, as the sets of their parts' first vertices, and the leaf
 blocks need checking, and a sample, whose templates use 2 colors over
 single-vertex blocks, is certified without building any rows.
 
-``verify_gallai_partition`` returns a partition's problems as text, empty
-when it is valid, and ``reduced_graph`` runs it on the partition it is
-given before it builds the plain colored graph on the parts.  The module
-returns data only; ``cli`` renders it.
+A ``GallaiPartition`` holds its parts and its reduced graph, the plain
+colored graph on the parts, and is built only for the partition returned.
+``verify_gallai_partition`` returns its problems as text, empty when it is
+valid, and ``reduced_graph`` hands out the reduced graph once that check
+passes.  The module returns data only; ``cli`` renders it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from gallai_ramsey.colored_graph import (
     ParameterError,
     iter_bits,
     lsb_index,
+    new_monochromatic,
 )
 from gallai_ramsey.patterns import RainbowTriangle, scan_rainbow_triangle
 
@@ -81,8 +83,7 @@ class GallaiPartition:
     """Nontrivial partition with monochromatic part pairs in at most 2 colors."""
 
     parts: tuple[tuple[int, ...], ...]
-    between_colors: frozenset[int]
-    part_pair_color: dict[tuple[int, int], int]
+    reduced: ColoredCompleteGraph  # vertex i is part i, each pair in the color joining them
 
 
 def _candidate_color_sets(used: list[int]) -> list[frozenset[int]]:
@@ -177,19 +178,17 @@ def _coarsen(parts: list[int], inside: list[list[int]], S: int) -> Optional[list
 
 
 def _build_partition(g: ColoredCompleteGraph, parts: list[int]) -> GallaiPartition:
-    """Parts sorted by smallest vertex, with the color of each part pair."""
+    """Parts sorted by smallest vertex, with their reduced graph read at those vertices."""
     parts = sorted(parts, key=lsb_index)
     reps = [lsb_index(part) for part in parts]
-    pair_color: dict[tuple[int, int], int] = {}
+    table = bytearray()
     for i, a in enumerate(reps):
         # reps ascend, so every pair (i, j) reads the table row of reps[i]
         row = g.row_bytes(a)
-        for j in range(i + 1, len(reps)):
-            pair_color[(i, j)] = row[reps[j] - a - 1]
+        table += bytes(row[b - a - 1] for b in reps[i + 1 :])
     return GallaiPartition(
         parts=tuple(tuple(iter_bits(part)) for part in parts),
-        between_colors=frozenset(pair_color.values()),
-        part_pair_color=pair_color,
+        reduced=ColoredCompleteGraph._owning(len(reps), g.k, table),
     )
 
 
@@ -208,12 +207,11 @@ def _splits(g: ColoredCompleteGraph, S: int, used: list[int]) -> Iterator[list[i
             yield parts
 
 
-def _partitions(g: ColoredCompleteGraph) -> Iterator[GallaiPartition]:
-    """The partition of every candidate that yields one, in candidate order."""
+def _partitions(g: ColoredCompleteGraph) -> Iterator[list[int]]:
+    """The parts of every candidate that splits the whole vertex set, in candidate order."""
     if g.n < 2:
         raise ParameterError(f"partition needs n >= 2, got n={g.n}")
-    for parts in _splits(g, (1 << g.n) - 1, g.used_colors()):
-        yield _build_partition(g, parts)
+    return _splits(g, (1 << g.n) - 1, g.used_colors())
 
 
 def _colors_inside(g: ColoredCompleteGraph, S: int) -> list[int]:
@@ -279,8 +277,8 @@ def find_gallai_partition(
     The first candidate color set, in the order of ``_partitions``, whose
     merge fixpoint keeps at least two parts wins.
     """
-    p = next(_partitions(g), None)
-    return _obstruction(g) if p is None else p
+    parts = next(_partitions(g), None)
+    return _obstruction(g) if parts is None else _build_partition(g, parts)
 
 
 def coarsest_partition_over_pairs(
@@ -295,34 +293,30 @@ def coarsest_partition_over_pairs(
     is coarsened to two parts (first part versus the rest) to make "fewest"
     sharp in that case.
     """
-    best: Optional[GallaiPartition] = None
-    for p in _partitions(g):
-        if best is None or len(p.parts) < len(best.parts):
-            best = p
-        if len(best.parts) == 2:
+    best: Optional[list[int]] = None
+    for parts in _partitions(g):
+        if best is None or len(parts) < len(best):
+            best = parts
+        if len(best) == 2:
             break  # no later candidate can have fewer parts
     if best is None:
         return _obstruction(g)
-    if len(best.between_colors) == 1 and len(best.parts) > 2:
-        c = next(iter(best.between_colors))
-        head = best.parts[0]
-        rest = tuple(sorted(v for part in best.parts[1:] for v in part))
-        best = GallaiPartition(
-            parts=(head, rest),
-            between_colors=frozenset({c}),
-            part_pair_color={(0, 1): c},
-        )
-    return best
+    p = _build_partition(g, best)
+    colors = p.reduced.used_colors()
+    if len(colors) == 1 and len(p.parts) > 2:
+        rest = tuple(sorted(v for part in p.parts[1:] for v in part))
+        p = GallaiPartition(parts=(p.parts[0], rest), reduced=new_monochromatic(2, g.k, colors[0]))
+    return p
 
 
 def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> tuple[str, ...]:
     """The partition's problems, empty when it is valid.
 
-    Parts that do not partition the vertex set raise ``ParameterError``.
-    Each part pair is tested on the rows of its recorded color: a member u of
-    part i sees part j in that color alone iff part j's mask lies inside u's
-    row.  The first violation of a pair is the first (u, v) in the parts'
-    own tuple order, as an edge-by-edge scan would name it.
+    Parts that do not partition the vertex set, or a reduced graph not on
+    the parts in g's colors, raise ``ParameterError``.  Each part pair is
+    tested on the rows of its reduced color: a member u of part i sees part j
+    in that color alone iff part j's mask lies inside u's row.  The first
+    violation of a pair is the first (u, v) in the parts' own tuple order.
     """
     seen: set[int] = set()
     for part in p.parts:
@@ -334,30 +328,22 @@ def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> tupl
             seen.add(v)
     if seen != set(range(g.n)):
         raise ParameterError("parts do not cover the vertex set exactly")
+    m, red = len(p.parts), p.reduced
+    if (red.n, red.k) != (m, g.k):
+        raise ParameterError(f"reduced graph has n={red.n} k={red.k}, expected n={m} k={g.k}")
 
     problems: list[str] = []
-    if len(p.parts) < 2:
+    if m < 2:
         problems.append("partition is trivial (fewer than 2 parts)")
-    if len(p.between_colors) > 2:
-        problems.append(
-            f"{len(p.between_colors)} between-part colors, at most 2 allowed"
-        )
-    bad_recorded = [c for c in p.part_pair_color.values() if c not in p.between_colors]
-    if bad_recorded:
-        problems.append(
-            f"recorded pair color {bad_recorded[0]} missing from between_colors"
-        )
+    colors = red.used_colors()
+    if len(colors) > 2:
+        problems.append(f"{len(colors)} between-part colors, at most 2 allowed")
+    rows = {c: g.rows(c) for c in colors}
     masks = [sum(1 << v for v in part) for part in p.parts]
-    for i in range(len(p.parts)):
-        for j in range(i + 1, len(p.parts)):
-            recorded = p.part_pair_color.get((i, j))
-            if recorded is None:
-                problems.append(f"no recorded color for part pair ({i}, {j})")
-                continue
-            # a color outside 1..k has no rows: every edge of the pair disagrees
-            rows = g.rows(recorded) if 1 <= recorded <= g.k else None
+    for i in range(m):
+        for j, recorded in enumerate(red.row_bytes(i), i + 1):
             for u in p.parts[i]:
-                bad = masks[j] if rows is None else masks[j] & ~rows[u]
+                bad = masks[j] & ~rows[recorded][u]
                 if bad:
                     # name the first such v in part j's own order
                     v = next(v for v in p.parts[j] if bad >> v & 1)
@@ -370,7 +356,7 @@ def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> tupl
 
 
 def reduced_graph(g: ColoredCompleteGraph, p: GallaiPartition) -> ColoredCompleteGraph:
-    """Complete graph on the parts in order, each pair in its recorded color.
+    """The partition's reduced graph, once the partition is checked.
 
     Vertex i stands for part i, whose smallest vertex is its representative.
     A partition that fails ``verify_gallai_partition`` raises
@@ -379,7 +365,4 @@ def reduced_graph(g: ColoredCompleteGraph, p: GallaiPartition) -> ColoredComplet
     problems = verify_gallai_partition(g, p)
     if problems:
         raise ParameterError(problems[0])
-    m = len(p.parts)
-    pairs = bytes(p.part_pair_color[(i, j)] for i in range(m) for j in range(i + 1, m))
-    return ColoredCompleteGraph(m, g.k, pairs)
-
+    return p.reduced

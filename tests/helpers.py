@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import combinations
 from typing import Optional
 
 from gallai_ramsey.colored_graph import (
@@ -282,7 +283,7 @@ def _reference_candidate(g: ColoredCompleteGraph, cand: frozenset[int]):
     return None
 
 
-def _reference_partition(pid: list[int], pair_color: dict) -> GallaiPartition:
+def _reference_partition(pid: list[int], pair_color: dict, k: int) -> GallaiPartition:
     groups: dict[int, list[int]] = {}
     for v, p in enumerate(pid):
         groups.setdefault(p, []).append(v)
@@ -291,10 +292,11 @@ def _reference_partition(pid: list[int], pair_color: dict) -> GallaiPartition:
     remapped = {
         (min(rank[a], rank[b]), max(rank[a], rank[b])): c for (a, b), c in pair_color.items()
     }
+    m = len(order)
+    table = bytes(remapped[(i, j)] for i in range(m) for j in range(i + 1, m))
     return GallaiPartition(
         parts=tuple(tuple(groups[p]) for p in order),
-        between_colors=frozenset(remapped.values()),
-        part_pair_color=remapped,
+        reduced=ColoredCompleteGraph(m, k, table),
     )
 
 
@@ -314,7 +316,7 @@ def gallai_partition_reference(g: ColoredCompleteGraph, coarsest: bool = False):
         found = _reference_candidate(g, cand)
         if found is None:
             continue
-        p = _reference_partition(*found)
+        p = _reference_partition(*found, g.k)
         if not coarsest:
             return p
         if best is None or len(p.parts) < len(best.parts):
@@ -322,11 +324,12 @@ def gallai_partition_reference(g: ColoredCompleteGraph, coarsest: bool = False):
     if best is None:
         a, b, c = has_rainbow_triangle_slow(g)
         return RainbowTriangle((a, b, c), (g.color(a, b), g.color(a, c), g.color(b, c)))
-    if len(best.between_colors) == 1 and len(best.parts) > 2:
-        (c,) = best.between_colors
+    colors = {best.reduced.color(i, j) for i, j in combinations(range(len(best.parts)), 2)}
+    if len(colors) == 1 and len(best.parts) > 2:
+        (c,) = colors
         rest = tuple(sorted(v for part in best.parts[1:] for v in part))
-        best = GallaiPartition(parts=(best.parts[0], rest), between_colors=best.between_colors,
-                               part_pair_color={(0, 1): c})
+        best = GallaiPartition(parts=(best.parts[0], rest),
+                               reduced=ColoredCompleteGraph(2, g.k, bytes([c])))
     return best
 
 
@@ -344,24 +347,21 @@ def verify_gallai_partition_reference(g: ColoredCompleteGraph, p: GallaiPartitio
     if seen != set(range(g.n)):
         raise ParameterError("parts do not cover the vertex set exactly")
 
+    m, red = len(p.parts), p.reduced
+    if red.n != m or red.k != g.k:
+        raise ParameterError(
+            f"reduced graph has n={red.n} k={red.k}, expected n={m} k={g.k}"
+        )
+
     problems: list[str] = []
-    if len(p.parts) < 2:
+    if m < 2:
         problems.append("partition is trivial (fewer than 2 parts)")
-    if len(p.between_colors) > 2:
-        problems.append(
-            f"{len(p.between_colors)} between-part colors, at most 2 allowed"
-        )
-    bad_recorded = [c for c in p.part_pair_color.values() if c not in p.between_colors]
-    if bad_recorded:
-        problems.append(
-            f"recorded pair color {bad_recorded[0]} missing from between_colors"
-        )
-    for i in range(len(p.parts)):
-        for j in range(i + 1, len(p.parts)):
-            recorded = p.part_pair_color.get((i, j))
-            if recorded is None:
-                problems.append(f"no recorded color for part pair ({i}, {j})")
-                continue
+    colors = {red.color(i, j) for i, j in combinations(range(m), 2)}
+    if len(colors) > 2:
+        problems.append(f"{len(colors)} between-part colors, at most 2 allowed")
+    for i in range(m):
+        for j in range(i + 1, m):
+            recorded = red.color(i, j)
             for u in p.parts[i]:
                 for v in p.parts[j]:
                     c = g.color(u, v)

@@ -120,6 +120,14 @@ def test_construct_general_r_list(capsys):
     assert "r=1,2,3 order=60" in _first_line(capsys)
 
 
+def test_construct_general_defaults_to_every_admissible_r(capsys):
+    # t = 4 admits r = 1 only, so a fixed default of r = 2 would be refused
+    assert run(["construct", "--family", "general", "--k", "1", "--t", "4"]) == 0
+    assert _first_line(capsys) == "family=general k=1 t=4 r=1 order=3 rainbow=none monoS=none"
+    assert run(["construct", "--family", "general", "--k", "2", "--t", "7"]) == 0
+    assert _first_line(capsys).startswith("family=general k=2 t=7 r=1,2,3 ")
+
+
 def test_construct_missing_flag(capsys):
     assert run(["construct", "--family", "g62"]) == 2
     assert run(["construct", "--family", "two-clique"]) == 2
@@ -172,18 +180,19 @@ def test_partition_report(tmp_path, capsys):
 
 
 def _recolored_pair(p):
-    wrong = next(c for c in p.between_colors if c != p.part_pair_color[(0, 1)])
-    return GallaiPartition(p.parts, p.between_colors, {**p.part_pair_color, (0, 1): wrong})
+    reduced = p.reduced.copy()
+    reduced.set_color(0, 1, next(c for c in reduced.used_colors() if c != reduced.color(0, 1)))
+    return GallaiPartition(p.parts, reduced)
 
 
 _CORRUPTIONS = [
-    ("trivial", lambda p: GallaiPartition((tuple(range(25)),), frozenset(), {}),
+    ("trivial", lambda p: GallaiPartition((tuple(range(25)),), ColoredCompleteGraph(1, p.reduced.k)),
      "partition is trivial (fewer than 2 parts)"),
     ("recolored-pair", _recolored_pair,
      "edge (0, 5) has color 2, part pair (0, 1) is recorded as color 3"),
     # a ParameterError from the checker is a failed verification too
     ("vertex-twice",
-     lambda p: GallaiPartition(p.parts + (p.parts[0],), p.between_colors, p.part_pair_color),
+     lambda p: GallaiPartition(p.parts + (p.parts[0],), p.reduced),
      "vertex 0 appears in two parts"),
 ]
 
@@ -207,6 +216,21 @@ def test_partition_exits_1_when_its_partition_fails_verification(
     assert out == ""
     assert err == f"partition failed verification: {problem}\n"
     assert not out_path.exists()
+
+
+def test_reduce_of_a_monochromatic_file_holds_one_table_per_graph(tmp_path, capsys):
+    # 300 singleton parts: the reduced graph is a 45 KB table, not a dict
+    # with an entry per part pair
+    path = str(tmp_path / "m.txt")
+    write_graph(new_monochromatic(300, 1, 1), path)
+    tracemalloc.start()
+    try:
+        assert run(["reduce", "--in", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _first_line(capsys) == "reduced n=300 colors=1"
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize(

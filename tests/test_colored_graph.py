@@ -318,7 +318,7 @@ def test_reader_matches_reference_reader(seed, tmp_path):
     _assert_reads_like_reference(faulty_graph_file(random.Random(seed)), str(tmp_path / "g.txt"))
 
 
-@pytest.mark.parametrize("offset", [0, 65535, 65536, -1])
+@pytest.mark.parametrize("offset", [0, 5, 65535, 65536, -1])
 @pytest.mark.parametrize("bad", [0, 7])
 def test_constructor_names_an_out_of_range_color(offset, bad):
     # the table is range-checked in slices; a bad color is found at and
@@ -326,6 +326,8 @@ def test_constructor_names_an_out_of_range_color(offset, bad):
     n, k = 400, 6
     table = bytearray(b"\x01") * (n * (n - 1) // 2)
     table[offset] = bad
+    if offset == 5:
+        table[100] = 0  # a later bad color in the same slice, smaller than 7, is not named
     with pytest.raises(ParameterError, match=f"^color id {bad} outside 1..{k}$"):
         ColoredCompleteGraph(n, k, table)
 

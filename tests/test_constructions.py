@@ -167,6 +167,12 @@ def test_general_lower_orders():
         assert all(orders[k] == 5 * orders[k - 2] for k in range(2, 5))
 
 
+def test_general_lower_defaults_to_every_admissible_r():
+    assert build_general_lower(1, 4).r == (1,)
+    assert build_general_lower(3, 7, verify=False).r == (1, 2, 3)
+    assert build_general_lower(2, 8, verify=False).r == two_clique_witness(8, verify=False).r
+
+
 def test_general_lower_certifies_multiple_r():
     rep = build_general_lower(3, 13, (1, 2, 3))
     assert rep.r == (1, 2, 3)

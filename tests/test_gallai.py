@@ -53,7 +53,7 @@ def test_both_classes_connected_gives_singletons():
     p = find_gallai_partition(g)
     assert isinstance(p, GallaiPartition)
     assert p.parts == ((0,), (1,), (2,), (3,), (4,))
-    assert p.between_colors == frozenset({1, 2})
+    assert p.reduced == g
     assert verify_gallai_partition(g, p) == ()
 
 
@@ -63,7 +63,7 @@ def test_join_two_parts():
     assert isinstance(p, GallaiPartition)
     assert len(p.parts) == 2
     assert p.parts == ((0, 1, 2, 3), (4, 5, 6))
-    assert p.part_pair_color == {(0, 1): 2}
+    assert p.reduced == new_monochromatic(2, 2, 2)
     assert verify_gallai_partition(g, p) == ()
 
 
@@ -85,7 +85,7 @@ def test_blowup_pentagon_partition():
     p = find_gallai_partition(g)
     assert isinstance(p, GallaiPartition)
     assert len(p.parts) == 5
-    assert set(p.part_pair_color.values()) <= {2, 3}
+    assert p.reduced.used_colors() == [2, 3]
     assert verify_gallai_partition(g, p) == ()
 
 
@@ -136,7 +136,7 @@ def test_coarsest_join_is_two_parts():
     g = join(new_monochromatic(5, 3, 1), new_monochromatic(5, 3, 2), 3)
     c = coarsest_partition_over_pairs(g)
     assert len(c.parts) == 2
-    assert c.part_pair_color == {(0, 1): 3}
+    assert c.reduced == new_monochromatic(2, 3, 3)
 
 
 def test_rainbow_triangle_blocks_partition():
@@ -152,24 +152,23 @@ def test_rainbow_triangle_blocks_partition():
 
 def test_verify_rejects_non_partition():
     g = new_monochromatic(4, 2, 1)
-    bad = GallaiPartition(
-        parts=((0, 1), (1, 2, 3)), between_colors=frozenset({1}), part_pair_color={(0, 1): 1}
-    )
+    bad = GallaiPartition(parts=((0, 1), (1, 2, 3)), reduced=new_monochromatic(2, 2, 1))
     with pytest.raises(ParameterError):
         verify_gallai_partition(g, bad)
-    missing = GallaiPartition(
-        parts=((0, 1), (2,)), between_colors=frozenset({1}), part_pair_color={(0, 1): 1}
-    )
+    missing = GallaiPartition(parts=((0, 1), (2,)), reduced=new_monochromatic(2, 2, 1))
     with pytest.raises(ParameterError):
         verify_gallai_partition(g, missing)
+    # a reduced graph that is not on the parts, or not in g's colors
+    for reduced in (new_monochromatic(3, 2, 1), new_monochromatic(2, 3, 1)):
+        p = GallaiPartition(parts=((0, 1), (2, 3)), reduced=reduced)
+        with pytest.raises(ParameterError, match=r"^reduced graph has n="):
+            verify_gallai_partition(g, p)
 
 
 def test_verify_flags_inhomogeneous_pair():
     g = new_monochromatic(4, 2, 1)
     g.set_color(0, 2, 2)
-    p = GallaiPartition(
-        parts=((0, 1), (2, 3)), between_colors=frozenset({1}), part_pair_color={(0, 1): 1}
-    )
+    p = GallaiPartition(parts=((0, 1), (2, 3)), reduced=new_monochromatic(2, 2, 1))
     assert verify_gallai_partition(g, p) == (
         "edge (0, 2) has color 2, part pair (0, 1) is recorded as color 1",
     )
@@ -177,45 +176,53 @@ def test_verify_flags_inhomogeneous_pair():
 
 def test_verify_flags_wrong_recorded_color():
     g = join(new_monochromatic(2, 2, 1), new_monochromatic(2, 2, 1), 2)
-    p = GallaiPartition(
-        parts=((0, 1), (2, 3)), between_colors=frozenset({1}), part_pair_color={(0, 1): 1}
-    )
+    p = GallaiPartition(parts=((0, 1), (2, 3)), reduced=new_monochromatic(2, 2, 1))
     assert verify_gallai_partition(g, p) == (
         "edge (0, 2) has color 2, part pair (0, 1) is recorded as color 1",
     )
 
 
+def _verdict(verify, g, p):
+    try:
+        return verify(g, p)
+    except ParameterError as exc:
+        return ParameterError, str(exc)
+
+
 @pytest.mark.property_based
 @given(
     seed=st.integers(0, 10**6),
-    faults=st.lists(st.sampled_from(("mixed", "recorded", "missing", "unsorted")), max_size=4),
+    faults=st.lists(st.sampled_from(("mixed", "recorded", "order", "unsorted")), max_size=4),
 )
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_verify_matches_reference_on_bad_partitions(seed, faults):
     # a valid partition of a Gallai coloring, then faults: an edge between
-    # two parts recolored, a recorded pair color changed (possibly outside
-    # 1..k), a pair color dropped, the vertices of every part reordered
+    # two parts recolored, a pair color of the reduced graph changed, a
+    # reduced graph of the wrong order, the vertices of every part reordered
     rng = random.Random(seed)
     k = rng.randint(1, 5)
     g = random_gallai_sampler(k, rng.randint(2, 40), seed)
     p = find_gallai_partition(g)
     parts = [list(part) for part in p.parts]
-    pair_color = dict(p.part_pair_color)
+    reduced = p.reduced.copy()
     for fault in faults:
         if fault == "mixed" and k > 1:
             i, j = rng.sample(range(len(parts)), 2)
             u, v = rng.choice(parts[i]), rng.choice(parts[j])
             g.set_color(u, v, rng.choice([c for c in range(1, k + 1) if c != g.color(u, v)]))
-        elif fault == "recorded" and pair_color:
-            key = rng.choice(sorted(pair_color))
-            pair_color[key] = rng.choice((0, k + 1, *range(1, k + 1)))
-        elif fault == "missing" and pair_color:
-            del pair_color[rng.choice(sorted(pair_color))]
+        elif fault == "recorded" and reduced.n > 1:
+            i, j = rng.sample(range(reduced.n), 2)
+            reduced.set_color(i, j, rng.randint(1, k))
+        elif fault == "order":
+            reduced = ColoredCompleteGraph(len(parts) + rng.choice((-1, 1)), k)
         elif fault == "unsorted":
             for part in parts:
                 rng.shuffle(part)
-    bad = GallaiPartition(tuple(map(tuple, parts)), p.between_colors, pair_color)
-    assert verify_gallai_partition(g, bad) == verify_gallai_partition_reference(g, bad)
+    bad = GallaiPartition(tuple(map(tuple, parts)), reduced)
+    verdict = _verdict(verify_gallai_partition, g, bad)
+    assert verdict == _verdict(verify_gallai_partition_reference, g, bad)
+    if "order" in faults:
+        assert verdict[0] is ParameterError
 
 
 def _reduce_lines(g: ColoredCompleteGraph, tmp_path, capsys) -> list[str]:
@@ -244,9 +251,7 @@ def test_reduced_graph_of_singleton_partition_copies_colors(tmp_path, capsys):
 def test_reduced_graph_rejects_invalid_partition():
     g = new_monochromatic(4, 2, 1)
     g.set_color(0, 2, 2)
-    p = GallaiPartition(
-        parts=((0, 1), (2, 3)), between_colors=frozenset({1}), part_pair_color={(0, 1): 1}
-    )
+    p = GallaiPartition(parts=((0, 1), (2, 3)), reduced=new_monochromatic(2, 2, 1))
     with pytest.raises(ParameterError, match=r"^edge \(0, 2\) has color 2, part pair"):
         reduced_graph(g, p)
 
