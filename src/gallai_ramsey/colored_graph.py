@@ -3,8 +3,8 @@
 A ``ColoredCompleteGraph`` assigns one color id (1-based, in ``1..k``) to every
 unordered pair of distinct vertices (0-based, in ``0..n-1``).  The color table
 is a flat upper-triangular ``bytearray``; per-color adjacency rows are kept as
-Python integers used as bitsets and are built lazily on first access, then
-maintained incrementally by the edge setter.
+Python integers used as bitsets, built lazily on first access and dropped by
+the edge setter, so they are always built from the table.
 
 A graph made by ``blowup`` keeps its shape, the orders of its parts nested as
 the parts were built, until an edge of it is recolored.  Its rows are composed
@@ -155,9 +155,6 @@ def _composed_rows(n: int, k: int, colors: bytearray, nodes: Iterator) -> dict[i
                     inh[table[at(a, b) if a < b else at(b, a)]] |= mask
             if not is_leaf:
                 inherited[a] = inh
-            elif e - a == 1:
-                for c in range(1, k + 1):
-                    rows[c][a] = inh[c]
             else:
                 key = b"".join(table[at(u, u + 1) : at(u, e - 1) + 1] for u in range(a, e - 1))
                 leaf = leaves.get(key)
@@ -220,20 +217,13 @@ class ColoredCompleteGraph:
         return self._colors[self._index(u, v)]
 
     def set_color(self, u: int, v: int, c: int) -> None:
-        """Recolor edge {u, v}; keeps cached adjacency rows consistent."""
+        """Recolor edge {u, v}; drops the adjacency rows and the shape, rebuilt on demand."""
         if not 1 <= c <= self.k:
             raise ParameterError(f"color id {c} outside 1..{self.k}")
         i = self._index(u, v)
-        old = self._colors[i]
-        if old == c:
-            return
-        self._colors[i] = c
-        self._shape = None
-        if self._rows is not None:
-            self._rows[old][u] &= ~(1 << v)
-            self._rows[old][v] &= ~(1 << u)
-            self._rows[c][u] |= 1 << v
-            self._rows[c][v] |= 1 << u
+        if self._colors[i] != c:
+            self._colors[i] = c
+            self._rows = self._shape = None
 
     def row_bytes(self, u: int) -> memoryview:
         """Colors of edges {u, v} for v = u+1 .. n-1, as a read-only buffer."""

@@ -99,17 +99,15 @@ def two_clique_witness(t: int, verify: bool = True) -> ConstructionReport:
     return _finish("two-clique", _general_core(2, t, 2), order, t, _admissible_r(t), verify)
 
 
-def matched_clique(
-    order: int, base_color: int, matching_colors: Sequence[int], k: int
-) -> ColoredCompleteGraph:
-    """Clique in the base color whose perfect matching (0,1),(2,3),.. is recolored."""
+def matched_clique(order: int, matching_colors: Sequence[int], k: int) -> ColoredCompleteGraph:
+    """Color-1 clique whose perfect matching (0,1),(2,3),.. is recolored."""
     if order < 2 or order % 2 != 0:
         raise ParameterError(f"order must be even and >= 2, got {order}")
     if len(matching_colors) != order // 2:
         raise ParameterError(
             f"need {order // 2} matching colors for order {order}, got {len(matching_colors)}"
         )
-    g = new_monochromatic(order, k, base_color)
+    g = new_monochromatic(order, k, 1)
     for i, c in enumerate(matching_colors):
         g.set_color(2 * i, 2 * i + 1, c)
     return g
@@ -169,7 +167,7 @@ def _swap_tower(level: int, k: int, base: int, swaps: _Swaps) -> ColoredComplete
     """
     plain = new_monochromatic(base, k, 1)
     blocks = (
-        matched_clique(base + 1, 1, swaps[i], k) if i in swaps else plain
+        matched_clique(base + 1, swaps[i], k) if i in swaps else plain
         for i in itertools.count()
     )
 
@@ -207,6 +205,8 @@ def build_general_lower(
     """
     if k < 1 or t < 4:
         raise ParameterError(f"need k >= 1 and t >= 4, got k={k}, t={t}")
+    # the lower bound does not depend on r; a t past the cap is refused before r's default
+    order = _order_below(gr_Str_bounds(k, t, 1)[0], k)
     if r is None:
         r = _admissible_r(t)
     rs = (r,) if isinstance(r, int) else tuple(r)
@@ -215,7 +215,6 @@ def build_general_lower(
     for rr in rs:
         if not 1 <= rr <= (t - 1) // 2:
             raise ParameterError(f"pattern needs 1 <= r <= (t-1)/2, got r={rr} with t={t}")
-    order = _order_below(gr_Str_bounds(k, t, 1)[0], k)  # the lower bound does not depend on r
     return _finish("general", _general_core(k, t, k), order, t, rs, verify)
 
 

@@ -56,7 +56,10 @@ blocks need checking, and a sample, whose templates use 2 colors over
 single-vertex blocks, is certified without building any rows.
 
 A ``GallaiPartition`` holds its parts and its reduced graph, the plain
-colored graph on the parts, and is built only for the partition returned.
+colored graph on the parts, read at the parts' smallest vertices.  It is
+built once, for the partition returned: ``coarsest_partition_over_pairs``
+reads its one-color case off those vertices' rows and merges the parts
+before the reduced graph is built.
 ``verify_gallai_partition`` returns its problems as text, empty when it is
 valid, and ``reduced_graph`` hands out the reduced graph once that check
 passes.  The module returns data only; ``cli`` renders it.
@@ -73,7 +76,6 @@ from gallai_ramsey.colored_graph import (
     ParameterError,
     iter_bits,
     lsb_index,
-    new_monochromatic,
 )
 from gallai_ramsey.patterns import RainbowTriangle, scan_rainbow_triangle
 
@@ -84,16 +86,6 @@ class GallaiPartition:
 
     parts: tuple[tuple[int, ...], ...]
     reduced: ColoredCompleteGraph  # vertex i is part i, each pair in the color joining them
-
-
-def _candidate_color_sets(used: list[int]) -> list[frozenset[int]]:
-    singles = [frozenset({c}) for c in used]
-    pairs = [
-        frozenset({used[i], used[j]})
-        for i in range(len(used))
-        for j in range(i + 1, len(used))
-    ]
-    return singles + pairs
 
 
 def _components(inside: list[list[int]], S: int) -> Optional[list[int]]:
@@ -198,7 +190,7 @@ def _splits(g: ColoredCompleteGraph, S: int, used: list[int]) -> Iterator[list[i
     Candidates are tried deterministically: singleton color sets in ascending
     order, then pairs in lexicographic order.
     """
-    for cand in _candidate_color_sets(used):
+    for cand in (*combinations(used, 1), *combinations(used, 2)):
         inside = [g.rows(c) for c in cand]
         parts = _components(inside, S)
         if parts is not None:
@@ -301,12 +293,13 @@ def coarsest_partition_over_pairs(
             break  # no later candidate can have fewer parts
     if best is None:
         return _obstruction(g)
-    p = _build_partition(g, best)
-    colors = p.reduced.used_colors()
-    if len(colors) == 1 and len(p.parts) > 2:
-        rest = tuple(sorted(v for part in p.parts[1:] for v in part))
-        p = GallaiPartition(parts=(p.parts[0], rest), reduced=new_monochromatic(2, g.k, colors[0]))
-    return p
+    best.sort(key=lsb_index)
+    reps = [lsb_index(part) for part in best]
+    mask = sum(1 << u for u in reps)
+    rows = g.rows(g.color(reps[0], reps[1]))
+    if len(best) > 2 and all(mask & ~rows[u] == 1 << u for u in reps):
+        best = [best[0], sum(best[1:])]  # one between color: the first part against the rest
+    return _build_partition(g, best)
 
 
 def verify_gallai_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> tuple[str, ...]:

@@ -288,6 +288,7 @@ def test_sample_deterministic(tmp_path, capsys):
         ["construct", "--family", "g82", "--k", "11"],
         ["construct", "--family", "g62", "--k", "11", "--no-verify"],
         ["construct", "--family", "two-clique", "--t", "1000000000"],
+        ["construct", "--family", "general", "--k", "3", "--t", "1000000000"],  # no --r
     ],
 )
 def test_orders_past_the_cap_exit_2_before_allocating(argv, capsys):
@@ -426,6 +427,50 @@ def test_search_argv_exits_with_a_code_never_a_traceback(n, r, pendants, nodes, 
                        f"--budget-nodes={nodes}", f"--budget-seconds={seconds}"])
     if not (nodes > 0 and seconds > 0):  # NaN included: no search starts on such a budget
         assert code == 2
+
+
+def _inside_or_past(lo: int, hi: int, past: int) -> st.SearchStrategy[int]:
+    """Three draws in four in lo..hi; otherwise below lo or at least ``past``,
+    where the value is refused before anything is built."""
+    outside = st.integers(max_value=lo - 1) | st.integers(min_value=past)
+    return st.integers(0, 3).flatmap(lambda i: outside if i == 3 else st.integers(lo, hi))
+
+
+@pytest.mark.property_based
+@settings(max_examples=100, derandomize=True, deadline=None)
+# no --out, so no draw writes a file; a t of MAX_ORDER + 2 or more puts every
+# family's order past the cap, and --no-verify at k >= 5 keeps each draw short.
+# ``stray`` names a flag to drop if the family reads it, or to add if not.
+@given(family=st.sampled_from(["two-clique", "g62", "g82", "general"]),
+       k=_inside_or_past(1, 12, 256), t=_inside_or_past(3, 13, MAX_ORDER + 2),
+       r=st.none() | st.lists(_inside_or_past(1, 3, 7), max_size=3),
+       stray=st.sampled_from([None, None, None, None, "k", "t", "r"]), verify=st.booleans())
+@example(family="general", k=12, t=5, r=None, stray=None, verify=False)
+@example(family="general", k=3, t=9, r=[2, 4], stray=None, verify=True)
+@example(family="general", k=3, t=10**21, r=None, stray=None, verify=True)  # refused before its default r tuple
+def test_construct_argv_exits_with_a_code_never_a_traceback(family, k, t, r, stray, verify):
+    values = {"k": k, "t": t, "r": None if r is None else ",".join(map(str, r))}
+    reads = set(gallai_ramsey.cli._FAMILY_FLAGS[family])
+    passed = {f for f, v in values.items() if (f in reads) != (f == stray) and v is not None}
+    argv = ["construct", f"--family={family}", *(f"--{f}={values[f]}" for f in sorted(passed))]
+    code = _run_quiet(argv + ([] if verify and k < 5 else ["--no-verify"]))
+    assert code in (0, 2)  # every tower certifies, so 1 would be a wrong verdict
+    misused = not reads - {"r"} <= passed <= reads
+    if misused or "k" in passed and not 1 <= k <= 255 or "t" in passed and not 3 <= t < MAX_ORDER + 2:
+        assert code == 2
+
+
+@pytest.mark.property_based
+@settings(max_examples=90, derandomize=True, deadline=None)
+# no --out, so no draw writes a file
+@given(k=_inside_or_past(1, 255, 256), n=_inside_or_past(1, 300, MAX_ORDER + 1),
+       seed=st.integers())
+@example(k=0, n=10, seed=0)
+@example(k=256, n=10, seed=0)
+@example(k=3, n=MAX_ORDER + 1, seed=0)
+def test_sample_argv_exits_with_a_code_never_a_traceback(k, n, seed):
+    code = _run_quiet(["sample", f"--k={k}", f"--n={n}", f"--seed={seed}"])
+    assert code == (0 if 1 <= k <= 255 and 1 <= n <= MAX_ORDER else 2)
 
 
 def test_console_script_runs(tmp_path):

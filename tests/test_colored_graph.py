@@ -403,7 +403,7 @@ def _assert_rows_match_colors(g):
 def test_bitset_rows_match_colors_after_mutation(seed, n, k):
     rng = random.Random(seed)
     g = random_graph(rng, n, k)
-    _assert_rows_match_colors(g)  # builds the cache, so the setter has to maintain it
+    _assert_rows_match_colors(g)  # builds the cache, so the setter has to drop it
     for _ in range(20 if n > 1 else 0):
         u = rng.randrange(n)
         v = (u + rng.randrange(1, n)) % n

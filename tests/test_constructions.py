@@ -144,16 +144,16 @@ def test_two_clique_witness():
 
 
 def test_matched_clique_layout():
-    g = matched_clique(6, 1, [2, 3, 5], 5)
+    g = matched_clique(6, [2, 3, 5], 5)
     assert g.n == 6 and g.k == 5
     assert g.color(0, 1) == 2
     assert g.color(2, 3) == 3
     assert g.color(4, 5) == 5
     assert g.color(0, 2) == 1 and g.color(1, 5) == 1
     with pytest.raises(ParameterError):
-        matched_clique(5, 1, [2, 3], 3)
+        matched_clique(5, [2, 3], 3)
     with pytest.raises(ParameterError):
-        matched_clique(6, 1, [2, 3], 3)
+        matched_clique(6, [2, 3], 3)
 
 
 def test_general_lower_orders():

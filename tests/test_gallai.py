@@ -1,6 +1,7 @@
 """Tests for Gallai partition extraction, verification, and reduction."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -137,6 +138,20 @@ def test_coarsest_join_is_two_parts():
     c = coarsest_partition_over_pairs(g)
     assert len(c.parts) == 2
     assert c.reduced == new_monochromatic(2, 3, 3)
+
+
+def test_coarsest_merges_one_color_parts_before_any_reduced_table():
+    # a monochromatic K_2000 splits into 2000 singleton parts joined in one color
+    g = new_monochromatic(2000, 1, 1)
+    g.rows(1)  # built before tracing, so the peak is coarsest's own
+    tracemalloc.start()
+    try:
+        c = coarsest_partition_over_pairs(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c.parts) == 2 and c.reduced.n == 2
+    assert peak < 2000 * 1999 // 2  # the table of the 2000-part reduced graph
 
 
 def test_rainbow_triangle_blocks_partition():
