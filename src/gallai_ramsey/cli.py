@@ -279,13 +279,8 @@ _DISPATCH = {
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.cmd](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -6,18 +6,19 @@ is a flat upper-triangular ``bytearray``; per-color adjacency rows are kept as
 Python integers used as bitsets, built lazily on first access and dropped by
 the edge setter, so they are always built from the table.
 
-A graph made by ``blowup`` keeps its shape, the orders of its parts nested as
-the parts were built, until an edge of it is recolored.  Its rows are composed
-from the shape: a vertex's row is its leaf block's row shifted into place, ORed
-with the masks of the parts joined to its enclosing parts in that color, read
-from the graph's own table at the parts' first vertices.  A table read from a
-file or passed in, and a leaf block, is transposed instead: 64 vertex rows at
-a time are gathered into a byte block, each row padded to whole 8-byte lanes.
-Per group of 8 colors one ``bytes.translate`` turns the block into one bit per
-color per byte, and an 8x8 bit transpose of every lane, run on the whole block
-as one integer, leaves each color's row bits in every 8th byte, so no n x n
-matrix is ever held.  The same shape, walked as template nodes, is where the
-Gallai tree of ``gallai.find_rainbow_triangle`` starts.
+A graph made by ``blowup`` over a template with at most 2 colors keeps its
+shape, the orders of its parts nested as the parts were built, until an edge of
+it is recolored, so every template node of a shape is a Gallai split.  Its rows
+are composed from the shape: a vertex's row is its leaf block's row shifted
+into place, ORed with the masks of the parts joined to its enclosing parts in
+that color, read from the graph's own table at the parts' first vertices.  A
+table read from a file or passed in, and a leaf block, is transposed instead:
+64 vertex rows at a time are gathered into a byte block, each row padded to
+whole 8-byte lanes.  Per group of 8 colors one ``bytes.translate`` turns the
+block into one bit per color per byte, and an 8x8 bit transpose of every lane,
+run on the whole block as one integer, leaves each color's row bits in every
+8th byte, so no n x n matrix is ever held.  The same shape, walked as template
+nodes, is where the Gallai tree of ``gallai.find_rainbow_triangle`` starts.
 
 Every lower-bound coloring this package generates is a tower of blow-ups,
 each assembling the new table from row slices (``row_bytes``).  ``blowup``
@@ -301,14 +302,17 @@ def blowup(
 
     An edge between parts i and j takes the template's color of {i, j}, so each
     new row is a part's row followed by one run of a template color per later part.
-    The result keeps the parts' orders as its shape, to compose its color rows from.
+    Over a template with at most 2 colors, which makes every such blow-up a
+    Gallai split, the result keeps the parts' orders as its shape, to compose
+    its color rows from; over any other template it holds no shape.
     """
     if len(parts) != template.n:
         raise ParameterError(f"template has {template.n} vertices, got {len(parts)} parts")
     k = parts[0].k
     if any(p.k != k for p in parts):
         raise ParameterError("all parts must share the same color count")
-    bad = [c for c in template.used_colors() if c > k]
+    used = template.used_colors()
+    bad = [c for c in used if c > k]
     if bad:
         raise ParameterError(f"template color {bad[0]} outside 1..{k}")
     buf = bytearray()
@@ -318,7 +322,8 @@ def blowup(
             buf += part.row_bytes(u)
             buf += tail
     g = ColoredCompleteGraph._owning(sum(p.n for p in parts), k, buf)
-    g._shape = tuple(p.n if p._shape is None else (p._shape, p.n) for p in parts)
+    if len(used) <= 2:
+        g._shape = tuple(p.n if p._shape is None else (p._shape, p.n) for p in parts)
     return g
 
 

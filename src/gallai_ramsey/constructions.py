@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .bounds import BoundValue, gr_S62, gr_S82, gr_Str_bounds, ramsey_Str
 from .colored_graph import (
@@ -193,23 +193,21 @@ def _general_core(level: int, t: int, k: int) -> ColoredCompleteGraph:
 def build_general_lower(
     k: int,
     t: int,
-    r: Union[int, Iterable[int], None] = None,
+    r: Iterable[int] | None = None,
     verify: bool = True,
 ) -> ConstructionReport:
     """Tower of pentagon blow-ups (odd k) and joins (even k) over K_{t-1}.
 
     Every color class is a disjoint union of cliques of order < t or a
     blown-up triangle-free graph, so no S_t^r appears for any r >= 1; the
-    detectors re-check this for the requested r values, by default every
-    admissible one.
+    detectors re-check this for each r value in ``r``, an iterable such as
+    ``(2,)``, or for every admissible one when ``r`` is None.
     """
     if k < 1 or t < 4:
         raise ParameterError(f"need k >= 1 and t >= 4, got k={k}, t={t}")
     # the lower bound does not depend on r; a t past the cap is refused before r's default
     order = _order_below(gr_Str_bounds(k, t, 1)[0], k)
-    if r is None:
-        r = _admissible_r(t)
-    rs = (r,) if isinstance(r, int) else tuple(r)
+    rs = _admissible_r(t) if r is None else tuple(r)
     if not rs:
         raise ParameterError("need at least one r to certify")
     for rr in rs:

@@ -47,13 +47,13 @@ A set that does not split holds a rainbow triangle, and the direct scan
 lexicographically first one, so the result equals the scan's on every input.
 
 A graph made by ``blowup`` already records the top of its tree in its shape,
-so its tree starts there instead of at the whole vertex set.  A triangle
-across three parts of a template node has the template's colors, read at the
-parts' first vertices; one with two vertices in a part repeats a color; one
-inside a part lies in that part's subtree.  So only the templates with 3
-colors or more, as the sets of their parts' first vertices, and the leaf
-blocks need checking, and a sample, whose templates use 2 colors over
-single-vertex blocks, is certified without building any rows.
+so its tree starts there instead of at the whole vertex set.  ``blowup``
+keeps a shape only over templates with at most 2 colors, so every template
+node is a Gallai split: a triangle across three parts sees at most 2
+colors, one with two vertices in a part repeats a color, and one inside a
+part lies in that part's subtree.  So only the leaf blocks need checking,
+and a sample, whose leaf blocks are single vertices, is certified without
+building any rows.
 
 A ``GallaiPartition`` holds its parts and its reduced graph, the plain
 colored graph on the parts, read at the parts' smallest vertices.  It is
@@ -226,18 +226,13 @@ def find_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
     does not split holds one (Gallai's theorem), and the direct scan of the
     whole graph then names the lexicographically first.
 
-    A blow-up's tree starts from its shape, which splits every vertex set it
-    covers: a template node whose part pairs use at most 2 colors is a leaf,
-    one with more is the set of its parts' first vertices, and each leaf block
-    is a set of its own.  A graph with no shape is one leaf block, so its tree
-    starts from the whole vertex set.
+    A blow-up's tree starts from its shape, whose template nodes all use at
+    most 2 colors between their parts, so only its leaf blocks of 3 or more
+    vertices are sets of their own.  A graph with no shape is one leaf block,
+    so its tree starts from the whole vertex set.
     """
-    stack = []
-    for node in g._template_nodes():
-        firsts = [a for a, _, _ in node]
-        if len({g.color(a, b) for a, b in combinations(firsts, 2)}) > 2:
-            stack.append(sum(1 << a for a in firsts))
-        stack += [(1 << e) - (1 << a) for a, e, leaf in node if leaf and e - a > 2]
+    stack = [(1 << e) - (1 << a) for node in g._template_nodes()
+             for a, e, leaf in node if leaf and e - a > 2]
     while stack:
         S = stack.pop()
         if S.bit_count() < 3:

@@ -156,7 +156,7 @@ def test_bounds_match_construction_orders():
     assert ramsey_Str(8, 2).value == build_G82(2, verify=False).graph.n + 1
     for k in range(1, 7):
         for t in (6, 7, 10, 13, 25):
-            n = build_general_lower(k, t, 1, verify=False).graph.n
+            n = build_general_lower(k, t, (1,), verify=False).graph.n
             assert gr_St2_bounds(k, t)[0].value == n + 1
             assert gr_Str_bounds(k, t, 2)[0].value == n + 1
     for t in range(7, 13):  # 2t - 1 is sharp for r = 2 from t = 7 on

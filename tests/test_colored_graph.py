@@ -554,7 +554,7 @@ def test_composed_rows_match_reference_on_pinned_towers(build, k):
 
 @pytest.mark.parametrize("k, t", [(1, 4), (2, 5), (3, 7), (4, 6), (5, 9), (6, 4), (7, 5)])
 def test_composed_rows_match_reference_on_general_towers(k, t):
-    _assert_rows_match_reference(build_general_lower(k, t, 1, verify=False).graph)
+    _assert_rows_match_reference(build_general_lower(k, t, (1,), verify=False).graph)
 
 
 @pytest.mark.property_based

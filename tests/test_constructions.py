@@ -157,12 +157,12 @@ def test_matched_clique_layout():
 
 
 def test_general_lower_orders():
-    assert build_general_lower(1, 7, 1, verify=False).graph.n == 6
+    assert build_general_lower(1, 7, (1,), verify=False).graph.n == 6
     assert build_general_lower(3, 7, verify=False).graph.n == 30
     assert build_general_lower(4, 7, verify=False).graph.n == 60
     # the tower's own growth: K_{t-1}, a join of two copies, then five copies a level pair
     for t in (6, 7, 9, 13):
-        orders = [build_general_lower(k, t, 1, verify=False).graph.n for k in range(1, 6)]
+        orders = [build_general_lower(k, t, (1,), verify=False).graph.n for k in range(1, 6)]
         assert orders[:2] == [t - 1, 2 * (t - 1)]
         assert all(orders[k] == 5 * orders[k - 2] for k in range(2, 5))
 
@@ -185,9 +185,9 @@ def test_general_lower_parameter_errors():
     with pytest.raises(ParameterError):
         build_general_lower(2, 3)
     with pytest.raises(ParameterError):
-        build_general_lower(2, 7, 0)
+        build_general_lower(2, 7, (0,))
     with pytest.raises(ParameterError):
-        build_general_lower(2, 7, 4)  # needs t-1 >= 2r
+        build_general_lower(2, 7, (4,))  # needs t-1 >= 2r
     with pytest.raises(ParameterError):
         build_general_lower(3, 9, ())  # no r: nothing would be certified
 
@@ -226,7 +226,7 @@ def test_build_errors():
 @settings(max_examples=40, derandomize=True)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=4, max_value=15))
 def test_general_order_formula_matches_graph(k, t):
-    rep = build_general_lower(k, t, 1, verify=False)
+    rep = build_general_lower(k, t, (1,), verify=False)
     assert rep.graph.n == gr_Str_bounds(k, t, 1)[0].value - 1
     assert rep.graph.k == k
     assert set(rep.graph.used_colors()) <= set(range(1, k + 1))
@@ -303,7 +303,7 @@ def _build(key):
         return random_gallai_sampler(*args)
     if family == "general":
         k, t = args
-        return build_general_lower(k, t, 1, verify=False).graph
+        return build_general_lower(k, t, (1,), verify=False).graph
     if family == "two-clique":
         return two_clique_witness(*args, verify=False).graph
     build = build_G62 if family == "g62" else build_G82

@@ -12,6 +12,7 @@ from gallai_ramsey.cli import run
 from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
     ParameterError,
+    blowup,
     blowup_pentagon,
     join,
     new_monochromatic,
@@ -30,6 +31,7 @@ from gallai_ramsey.patterns import RainbowTriangle, scan_rainbow_triangle
 from gallai_ramsey.search import random_gallai_sampler
 
 from helpers import (
+    build_rows_reference,
     gallai_partition_reference,
     rainbow_free_3colorings,
     random_graph,
@@ -420,7 +422,7 @@ def test_tree_certifies_every_rainbow_free_class(no_scan_fallback):
 def test_tree_certifies_towers_and_samples(no_scan_fallback):
     # from the blow-up's shape, and through a copy, which holds none
     graphs = [build(k, verify=False).graph for build in (build_G62, build_G82) for k in range(2, 7)]
-    graphs += [build_general_lower(k, t, 1, verify=False).graph
+    graphs += [build_general_lower(k, t, (1,), verify=False).graph
                for k, t in ((1, 4), (2, 5), (3, 7), (4, 6), (5, 9), (6, 4), (7, 5))]
     for seed in range(40):
         rng = random.Random(seed)
@@ -441,6 +443,44 @@ def test_sample_is_certified_without_rows(monkeypatch):
         rng = random.Random(seed)
         g = random_gallai_sampler(rng.randint(1, 255), rng.randint(1, 500), seed)
         assert find_rainbow_triangle(g) is None
+
+
+def _template_colors(g):
+    """Colors between the parts of each template node, read at their first vertices."""
+    return [{g.color(a, b) for (a, _, _), (b, _, _) in combinations(node, 2)}
+            for node in g._template_nodes()]
+
+
+@pytest.mark.parametrize("m, template", [
+    (3, bytes([1, 2, 3])),  # rainbow across its parts
+    (4, bytes([3, 3, 3, 1, 1, 2])),  # rainbow-free: vertex 0 sees the rest in color 3
+], ids=["rainbow", "rainbow-free"])
+def test_blowup_over_three_colors_holds_no_shape(m, template):
+    parts = [join(new_monochromatic(2, 3, 1), new_monochromatic(3, 3, 2), 1),
+             new_monochromatic(4, 3, 3), new_monochromatic(1, 3, 1),
+             join(new_monochromatic(1, 3, 2), new_monochromatic(2, 3, 3), 1)][:m]
+    g = blowup(ColoredCompleteGraph(m, 3, template), parts)
+    assert g._shape is None
+    assert list(g._template_nodes()) == [[(0, g.n, True)]]
+    assert g._build_rows() == build_rows_reference(g)
+    assert find_rainbow_triangle(g) == scan_rainbow_triangle(g)
+    # as a part of a 2-colored template it is one leaf block of the outer shape
+    outer = join(g, new_monochromatic(2, 3, 3), 2)
+    assert list(outer._template_nodes()) == [[(0, g.n, True), (g.n, g.n + 2, True)]]
+    assert outer._build_rows() == build_rows_reference(outer)
+    assert find_rainbow_triangle(outer) == scan_rainbow_triangle(outer)
+
+
+def test_every_template_node_is_two_colored():
+    towers = [build(k, verify=False).graph for build in (build_G62, build_G82) for k in range(2, 7)]
+    graphs = towers + [build_general_lower(k, t, (1,), verify=False).graph
+                       for k in range(1, 6) for t in (4, 7, 9)]
+    graphs += [random_gallai_sampler(k, 200, seed) for k in range(1, 10) for seed in range(3)]
+    rng = random.Random(0)
+    graphs += [random_nested_blowup(rng, rng.randint(1, 6), rng.randint(1, 4)) for _ in range(100)]
+    assert all(g._shape is not None for g in towers)
+    for g in graphs:
+        assert all(len(colors) <= 2 for colors in _template_colors(g))
 
 
 def _recolored_inputs(family, seed):

@@ -252,6 +252,12 @@ def test_search_agrees_with_the_per_vector_reference(tmp_path):
     # 848 and 4,984 nodes
     cases += [(9, SPattern(5, 1), None), (11, SPattern(7, 3), None),
               (13, SPattern(9, 4), SearchBudget(max_nodes=100_000))]
+    # r = 3 past the fan (t >= 2r + 2), where the F table is set by the
+    # matching test: witnesses at 261, 514, 1,019, 2,028, 2,044 and 4,077
+    # nodes, and a budget stop before the n = 12 one
+    cases += [(n, SPattern(8, 3), None) for n in (9, 10, 11, 12)]
+    cases += [(12, SPattern(9, 3), None), (13, SPattern(9, 3), None),
+              (12, SPattern(8, 3), SearchBudget(max_nodes=1000))]
     for n, p, budget in cases:
         got = exhaustive_witness_search(n, p, budget)
         want = exhaustive_witness_search_reference(n, p, budget)
