@@ -10,14 +10,16 @@ it returns that triangle as a structured failure instead.
 The extraction strategy: for each candidate set C of at most two colors, the
 edges colored outside C are forced inside parts, so the connected components
 of those edges form the finest possible partition with between-colors inside
-C.  They are found by a bitset BFS over the per-color rows: a vertex's
-outside-C neighbors are the vertices in none of its C rows, and the search
-stops as soon as the first component is the whole vertex set.  Parts are
-then merged to a fixpoint.  For a part P and a color c in C, the agreement
-mask A_c(P) is the AND of the c-rows of P's members: the vertices that see
-all of P in color c.  A vertex outside P and outside every A_c(P) sees P in
-two colors, so its part and P must merge; a merged part's masks are the ANDs
-of its pieces' masks.  A candidate succeeds when at least two parts survive.
+C.  They are found by a bitset search over the per-color rows: a vertex's
+outside-C neighbors are the vertices in none of its C rows.  The search aims
+at the smallest vertex not yet reached and expands a reached vertex joined
+to it, so a candidate whose first component is the whole vertex set, where
+it stops, is rejected in a few expansions.  Parts are then merged to a
+fixpoint.  For a part P and a color c in C, the agreement mask A_c(P) is the
+AND of the c-rows of P's members: the vertices that see all of P in color c.
+A vertex outside P and outside every A_c(P) sees P in two colors, so its
+part and P must merge; a merged part's masks are the ANDs of its pieces'
+masks.  A candidate succeeds when at least two parts survive.
 
 The fixpoint does not depend on the order of merges.  A partition has every
 part pair monochromatic exactly when every part is a module (each outside
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
@@ -90,27 +92,39 @@ class GallaiPartition:
 
 def _components(inside: list[list[int]], S: int) -> Optional[list[int]]:
     """Components inside the vertex set ``S`` of the edges colored outside the
-    candidate, as bitsets.
+    candidate, as bitsets, in order of their smallest vertex.
 
     ``inside`` holds the rows of the candidate colors: a vertex's neighbors
     outside the candidate are the members of S in none of its candidate rows.
-    Returns None as soon as the first component covers all of S.
+    While two or more reached vertices wait, it expands one joined to the aim,
+    the smallest vertex not reached, else the smallest waiting one; the aim's
+    rows are read again only once the aim is reached.  A component closes when
+    none waits or it holds every vertex left; None if the first holds all of S.
     """
     comps: list[int] = []
     left = S
     while left:
-        comp = frontier = left & -left
-        while frontier:
-            reach = 0
-            for u in iter_bits(frontier):
-                seen = 1 << u
-                for rows in inside:
-                    seen |= rows[u]
-                reach |= S & ~seen
-                if reach | comp == S:
-                    return None
-            frontier = reach & ~comp
-            comp |= frontier
+        aim = comp = pending = left & -left  # an aim already reached is replaced first
+        while pending and comp != left:
+            u = pending & -pending
+            if u != pending:
+                if aim & comp:
+                    aim = left & ~comp
+                    aim &= -aim
+                    joined = left
+                    for rows in inside:
+                        joined &= ~rows[aim.bit_length() - 1]
+                near = pending & joined
+                if near:
+                    u = near & -near
+            seen = comp
+            for rows in inside:
+                seen |= rows[u.bit_length() - 1]
+            reach = left & ~seen
+            comp |= reach
+            pending ^= u | reach
+        if comp == S:
+            return None
         comps.append(comp)
         left ^= comp
     return comps
@@ -119,8 +133,9 @@ def _components(inside: list[list[int]], S: int) -> Optional[list[int]]:
 def _agreement(rows: list[int], part: int, S: int) -> int:
     """Members of ``S`` joined to every member of ``part`` in the color of ``rows``."""
     common = S
-    for u in iter_bits(part):
-        common &= rows[u]
+    while part:
+        common &= rows[(part & -part).bit_length() - 1]
+        part &= part - 1
     return common
 
 
@@ -206,12 +221,14 @@ def _partitions(g: ColoredCompleteGraph) -> Iterator[list[int]]:
     return _splits(g, (1 << g.n) - 1, g.used_colors())
 
 
-def _colors_inside(g: ColoredCompleteGraph, S: int) -> list[int]:
-    """Colors of the edges with both ends in the vertex set ``S``, ascending."""
+def _colors_inside(g: ColoredCompleteGraph, S: int, colors: Iterable[int]) -> list[int]:
+    """The colors among ``colors``, in their order, of the edges with both ends in ``S``."""
     used = []
-    for c in range(1, g.k + 1):
-        rows = g.rows(c)
-        if any(rows[u] & S for u in iter_bits(S)):
+    for c in colors:
+        rows, rest = g.rows(c), S
+        while rest and not rows[(rest & -rest).bit_length() - 1] & S:
+            rest &= rest - 1
+        if rest:
             used.append(c)
     return used
 
@@ -221,7 +238,8 @@ def find_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
 
     Builds the Gallai tree of g: a vertex set is a leaf when it has fewer
     than 3 vertices or its edges use at most 2 colors, and is otherwise split
-    by the first candidate whose fixpoint keeps at least two parts.  If every
+    by the first candidate whose fixpoint keeps at least two parts.  A part's
+    colors are among its parent's, so only those are tested for it.  If every
     vertex set splits down to leaves, g has no rainbow triangle.  A set that
     does not split holds one (Gallai's theorem), and the direct scan of the
     whole graph then names the lexicographically first.
@@ -231,19 +249,19 @@ def find_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
     vertices are sets of their own.  A graph with no shape is one leaf block,
     so its tree starts from the whole vertex set.
     """
-    stack = [(1 << e) - (1 << a) for node in g._template_nodes()
+    stack = [((1 << e) - (1 << a), range(1, g.k + 1)) for node in g._template_nodes()
              for a, e, leaf in node if leaf and e - a > 2]
     while stack:
-        S = stack.pop()
+        S, colors = stack.pop()
         if S.bit_count() < 3:
             continue
-        used = _colors_inside(g, S)
+        used = _colors_inside(g, S, colors)
         if len(used) <= 2:
             continue
         parts = next(_splits(g, S, used), None)
         if parts is None:
             return scan_rainbow_triangle(g)
-        stack += parts
+        stack += [(part, used) for part in parts]
     return None
 
 

@@ -246,6 +246,23 @@ def _relabel(parent: list[int], ids: list[int]) -> list[int]:
     return out
 
 
+def components_reference(
+    g: ColoredCompleteGraph, members: list[int], cand: frozenset[int]
+) -> list[list[int]]:
+    """Union-find over the edges inside ``members`` colored outside ``cand``:
+    the components, each ascending, in order of their smallest vertex."""
+    parent = list(range(g.n))
+    for u, v in combinations(members, 2):
+        if g.color(u, v) not in cand:
+            ru, rv = _uf_find(parent, u), _uf_find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+    comps: dict[int, list[int]] = {}
+    for v in sorted(members):
+        comps.setdefault(_uf_find(parent, v), []).append(v)
+    return list(comps.values())
+
+
 def _reference_candidate(g: ColoredCompleteGraph, cand: frozenset[int]):
     """Union-find over the edges colored outside ``cand``, then merge every part
     pair that sees two colors, by full edge scans, until none is left.
@@ -253,14 +270,10 @@ def _reference_candidate(g: ColoredCompleteGraph, cand: frozenset[int]):
     Returns (part ids, pair colors), or None if everything collapses.
     """
     n = g.n
-    parent = list(range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if g.color(u, v) not in cand:
-                ru, rv = _uf_find(parent, u), _uf_find(parent, v)
-                if ru != rv:
-                    parent[ru] = rv
-    pid = _relabel(parent, list(range(n)))
+    pid = [0] * n
+    for i, comp in enumerate(components_reference(g, list(range(n)), cand)):
+        for v in comp:
+            pid[v] = i
     while max(pid) > 0:
         pair_color: dict[tuple[int, int], int] = {}
         conflicts = set()

@@ -21,6 +21,7 @@ from gallai_ramsey.colored_graph import (
 from gallai_ramsey.constructions import build_G62, build_G82, build_general_lower
 from gallai_ramsey.gallai import (
     GallaiPartition,
+    _components,
     coarsest_partition_over_pairs,
     find_gallai_partition,
     find_rainbow_triangle,
@@ -32,6 +33,7 @@ from gallai_ramsey.search import random_gallai_sampler
 
 from helpers import (
     build_rows_reference,
+    components_reference,
     gallai_partition_reference,
     rainbow_free_3colorings,
     random_graph,
@@ -392,6 +394,100 @@ def test_partition_matches_reference(kind, seed):
         ):
             # dataclass equality: same type, and every field equal
             assert fn(g) == gallai_partition_reference(g, coarsest=coarsest)
+
+
+@pytest.mark.property_based
+def test_components_match_union_find_on_subsets():
+    # every 1- and 2-color candidate over the colors inside random vertex
+    # subsets, not only the whole set: same components in the same order,
+    # and None exactly when the first one is the whole subset
+    outcomes = set()
+    for seed in range(150):
+        rng = random.Random(seed)
+        k = rng.randint(1, 5)
+        for g in (random_graph(rng, rng.randint(2, 16), k),
+                  random_nested_blowup(rng, k, rng.randint(1, 3)),
+                  random_gallai_sampler(k, rng.randint(2, 60), seed)):
+            for _ in range(3):
+                members = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+                S = sum(1 << v for v in members)
+                used = sorted({g.color(u, v) for u, v in combinations(members, 2)})
+                for cand in (*combinations(used, 1), *combinations(used, 2)):
+                    ref = components_reference(g, members, frozenset(cand))
+                    got = _components([g.rows(c) for c in cand], S)
+                    if len(ref) == 1:
+                        assert got is None
+                    else:
+                        assert got == [sum(1 << v for v in comp) for comp in ref]
+                    outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+class _CountingRows(list):
+    """One color's rows, counting the rows read from them."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def __getitem__(self, u):
+        self.reads += 1
+        return super().__getitem__(u)
+
+
+def _root_reads(g):
+    """Rows read by the component search of each candidate at the whole vertex set."""
+    S = (1 << g.n) - 1
+    used = g.used_colors()
+    out = {}
+    for cand in (*combinations(used, 1), *combinations(used, 2)):
+        inside = [_CountingRows(g.rows(c)) for c in cand]
+        comps = _components(inside, S)
+        out[cand] = comps is not None, sum(rows.reads for rows in inside)
+    return out
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_candidates_that_do_not_split_read_few_rows(k):
+    # the one candidate that splits G82(k) must expand its components, but a
+    # candidate that does not reaches the whole set within a few expansions
+    # (a search that expands vertex 0's module first reads hundreds of rows)
+    reads = _root_reads(build_G82(k, verify=False).graph.copy())
+    assert [cand for cand, (splits, _) in reads.items() if splits] == [(k - 1, k)]
+    assert max(n for splits, n in reads.values() if not splits) <= 64
+
+
+def test_singleton_components_read_each_row_once():
+    g = new_monochromatic(2000, 1, 1)
+    ((splits, reads),) = _root_reads(g).values()
+    assert splits and reads <= g.n
+
+
+def _rainbow_at_depth(rng, k, depth):
+    """A blow-up nested ``depth`` levels deep over 2-colored templates, with
+    one rainbow triangle, in colors 1, 2 and 3, as its innermost block."""
+    g = ColoredCompleteGraph(3, k, bytes([1, 2, 3]))
+    for _ in range(depth):
+        m = rng.randint(2, 4)
+        pair = rng.sample(range(1, k + 1), 2)
+        template = ColoredCompleteGraph(m, k, bytes(rng.choice(pair) for _ in range(m * (m - 1) // 2)))
+        parts = [g] + [random_gallai_sampler(k, rng.randint(1, 6), rng.randrange(1000))
+                       for _ in range(m - 1)]
+        rng.shuffle(parts)
+        g = blowup(template, parts)
+    return g
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_tree_finds_a_deep_rainbow_triangle_through_inherited_colors(seed):
+    # a part that inherited its parent's colors less the split's candidate
+    # colors would miss a color of the triangle whenever a candidate holds
+    # one (at k = 3 always), and could then pass as a 2-colored leaf
+    rng = random.Random(seed)
+    g = _rainbow_at_depth(rng, rng.randint(3, 5), rng.randint(2, 4))
+    tri = scan_rainbow_triangle(g)
+    assert tri is not None
+    assert find_rainbow_triangle(g.copy()) == tri == find_rainbow_triangle(g)
 
 
 # -- Gallai-tree certification ------------------------------------------------
