@@ -1,10 +1,12 @@
 """Exact closed-form Ramsey and Gallai-Ramsey bound evaluation.
 
-Every formula is computed with integer or rational arithmetic, never
-floats.  Values carry a validity flag (parameters inside the stated
-domain of the formula) and an optional caveat id where two published
-expressions for the same quantity disagree; both values are then
-reported, the alternate embedded in the caveat string.
+Every formula is computed in integers, never floats: a closed form with
+fractions is multiplied through by its denominator, and the division that
+follows is exact or, where the form takes a ceiling, rounds up.  Values
+carry a validity flag (parameters inside the stated domain of the formula)
+and an optional caveat id where two published expressions for the same
+quantity disagree; both values are then reported, the alternate embedded
+in the caveat string.
 
 Every k-color evaluator refuses k outside the package's color range 1..255
 and t above ``MAX_ORDER`` (``check_order(t, k)``, t = 1 for the fixed
@@ -14,9 +16,7 @@ domain check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .colored_graph import ParameterError, check_order
 
@@ -28,8 +28,6 @@ __all__ = [
     "gr_St2_bounds",
     "gr_Str_bounds",
 ]
-
-_FIVE = Fraction(5)
 
 
 @dataclass(frozen=True)
@@ -47,12 +45,6 @@ class BoundValue:
             raise ParameterError(f"unknown bound kind {self.kind!r}")
         if not isinstance(self.value, int) or self.value < 1:
             raise ParameterError("bound value must be a positive integer")
-
-
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ParameterError(f"formula value {x} is not an integer")
-    return x.numerator
 
 
 def ramsey_Str(t: int, r: int) -> BoundValue:
@@ -78,13 +70,10 @@ def ramsey_Str(t: int, r: int) -> BoundValue:
 def gr_S62(k: int) -> BoundValue:
     """Exact k-color Gallai-Ramsey number for S_6^2."""
     check_order(1, k)
-    if k % 2 == 0:
-        value = _as_int(2 * _FIVE ** (k // 2)
-                        + Fraction(1, 4) * _FIVE ** ((k - 2) // 2)
-                        + Fraction(3, 4))
-    else:
-        value = math.ceil(Fraction(51, 10) * _FIVE ** ((k - 1) // 2)
-                          + Fraction(1, 2))
+    if k % 2 == 0:  # 2*5^(k/2) + 5^((k-2)/2)/4 + 3/4
+        value = (8 * 5 ** (k // 2) + 5 ** ((k - 2) // 2) + 3) // 4
+    else:  # ceil(51/10 * 5^((k-1)/2) + 1/2)
+        value = -(-(51 * 5 ** ((k - 1) // 2) + 5) // 10)
     return BoundValue("exact", value, True, "s62-closed-form")
 
 
@@ -99,18 +88,13 @@ def gr_S82(k: int) -> BoundValue:
     if k < 3:
         raise ParameterError("k must be at least 3")
     check_order(1, k)
-    if k % 2 == 0:
-        value = _as_int(14 * _FIVE ** ((k - 2) // 2)
-                        + Fraction(1, 2) * _FIVE ** ((k - 4) // 2)
-                        + Fraction(1, 2))
-        alt = _as_int(14 * _FIVE ** ((k - 2) // 2)
-                      + Fraction(1, 4) * _FIVE ** ((k - 4) // 2)
-                      + Fraction(3, 4))
+    if k % 2 == 0:  # 14*5^((k-2)/2) + 5^((k-4)/2)/2 + 1/2, alternate /4 and 3/4
+        value = (28 * 5 ** ((k - 2) // 2) + 5 ** ((k - 4) // 2) + 1) // 2
+        alt = (56 * 5 ** ((k - 2) // 2) + 5 ** ((k - 4) // 2) + 3) // 4
         caveat = None if alt == value else f"alternate-expression-gives-{alt}"
         return BoundValue("exact", value, True, "s82-closed-form", caveat)
-    value = _as_int(7 * _FIVE ** ((k - 1) // 2)
-                    + Fraction(1, 4) * _FIVE ** ((k - 3) // 2)
-                    + Fraction(3, 4))
+    # 7*5^((k-1)/2) + 5^((k-3)/2)/4 + 3/4
+    value = (28 * 5 ** ((k - 1) // 2) + 5 ** ((k - 3) // 2) + 3) // 4
     return BoundValue("exact", value, True, "s82-closed-form")
 
 

@@ -315,13 +315,15 @@ def blowup(
     bad = [c for c in used if c > k]
     if bad:
         raise ParameterError(f"template color {bad[0]} outside 1..{k}")
+    n = sum(p.n for p in parts)
+    check_order(n, k)  # before the table is assembled
     buf = bytearray()
     for i, part in enumerate(parts):
         tail = b"".join(bytes([c]) * q.n for c, q in zip(template.row_bytes(i), parts[i + 1 :]))
         for u in range(part.n):
             buf += part.row_bytes(u)
             buf += tail
-    g = ColoredCompleteGraph._owning(sum(p.n for p in parts), k, buf)
+    g = ColoredCompleteGraph._owning(n, k, buf)
     if len(used) <= 2:
         g._shape = tuple(p.n if p._shape is None else (p._shape, p.n) for p in parts)
     return g

@@ -120,10 +120,13 @@ class SearchOutcome:
     prunes_by_depth: list[int] = field(default_factory=list)
 
 
+# the search's order cap; the flags below sit above every vertex bit
+_MAX_N = 60
+
 # state of a neighborhood N at r = 2: the bits of the vertices that touch
 # every edge inside N (its cover), plus these two flags; 0 means no edge
-_HAS = 1 << 60  # an edge lies inside N
-_NU2 = 1 << 61  # two disjoint edges lie inside N
+_HAS = 1 << _MAX_N  # an edge lies inside N
+_NU2 = 1 << (_MAX_N + 1)  # two disjoint edges lie inside N
 _FLAGS = _HAS | _NU2
 
 
@@ -155,8 +158,8 @@ def exhaustive_witness_search(
     """
     if n < 2:
         raise ParameterError(f"search needs n >= 2, got n={n}")
-    if n > 60:
-        raise ParameterError(f"search supports n <= 60, got n={n}")
+    if n > _MAX_N:
+        raise ParameterError(f"search supports n <= {_MAX_N}, got n={n}")
     if budget is None:
         budget = SearchBudget()
     min_deg, r = p.t - 1, p.r
@@ -363,9 +366,8 @@ class VerificationReport:
     mono_s: dict[int, float]
 
 
-def verify_construction(g: ColoredCompleteGraph, *patterns: SPattern) -> VerificationReport:
-    """Run the rainbow check once, then in every color of g the detector of
-    each pattern in the order given, up to the first that finds a witness."""
+def verify_construction(g: ColoredCompleteGraph, p: SPattern) -> VerificationReport:
+    """Run the rainbow check, then the detector of p in every color of g."""
     start = time.perf_counter()
     rainbow = find_rainbow_triangle(g)
     rainbow_s = time.perf_counter() - start
@@ -373,11 +375,9 @@ def verify_construction(g: ColoredCompleteGraph, *patterns: SPattern) -> Verific
     mono_s: dict[int, float] = {}
     for c in range(1, g.k + 1):
         t0 = time.perf_counter()
-        for p in patterns:
-            w = find_mono_S(g, c, p)
-            if w is not None:
-                mono[c] = w
-                break
+        w = find_mono_S(g, c, p)
+        if w is not None:
+            mono[c] = w
         mono_s[c] = time.perf_counter() - t0
     return VerificationReport(
         ok=rainbow is None and not mono,

@@ -1,5 +1,8 @@
 """Tests for the closed-form bound evaluators."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from gallai_ramsey.bounds import (
@@ -120,6 +123,35 @@ def test_str_domain_flags():
         gr_Str_bounds(3, 6, 3)
     with pytest.raises(ParameterError):
         gr_Str_bounds(3, 7, 0)
+
+
+def _fraction_s62(k):
+    """The published S_6^2 form, in rationals."""
+    five = Fraction(5)
+    if k % 2 == 0:
+        return 2 * five ** (k // 2) + Fraction(1, 4) * five ** ((k - 2) // 2) + Fraction(3, 4)
+    return math.ceil(Fraction(51, 10) * five ** ((k - 1) // 2) + Fraction(1, 2))
+
+
+def _fraction_s82(k):
+    """The published S_8^2 form and, at even k, its alternate, in rationals."""
+    five = Fraction(5)
+    if k % 2 == 1:
+        value = 7 * five ** ((k - 1) // 2) + Fraction(1, 4) * five ** ((k - 3) // 2) + Fraction(3, 4)
+        return value, None
+    head = 14 * five ** ((k - 2) // 2)
+    return (head + Fraction(1, 2) * five ** ((k - 4) // 2) + Fraction(1, 2),
+            head + Fraction(1, 4) * five ** ((k - 4) // 2) + Fraction(3, 4))
+
+
+def test_integer_forms_match_the_fraction_forms_for_every_k():
+    for k in range(1, 256):
+        assert gr_S62(k).value == _fraction_s62(k)
+        if k >= 3:
+            value, alt = _fraction_s82(k)
+            b = gr_S82(k)
+            assert b.value == value
+            assert b.caveat == (None if alt in (None, value) else f"alternate-expression-gives-{alt}")
 
 
 def test_formulas_integral_up_to_k20():

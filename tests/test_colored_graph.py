@@ -208,6 +208,19 @@ def test_blowup_rejects(template, parts):
         blowup(template, parts)
 
 
+def test_blowup_refuses_an_order_above_max_order_before_assembling():
+    template, part = new_monochromatic(4, 2, 2), new_monochromatic(2600, 2, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError,
+                           match=f"^vertex count must be in 1..{MAX_ORDER}, got 10400$"):
+            blowup(template, [part] * 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the 10400-vertex table alone would be 54 MB
+
+
 def test_round_trip_small_example(tmp_path):
     path = str(tmp_path / "g.txt")
     g = join(new_monochromatic(5, 2, 1), new_monochromatic(5, 2, 1), 2)

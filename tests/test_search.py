@@ -7,10 +7,22 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gallai_ramsey.constructions
 import gallai_ramsey.patterns
 from gallai_ramsey.cli import run
-from gallai_ramsey.colored_graph import ColoredCompleteGraph, ParameterError, write_graph
-from gallai_ramsey.constructions import build_G62, two_clique_witness
+from gallai_ramsey.colored_graph import (
+    ColoredCompleteGraph,
+    ParameterError,
+    new_monochromatic,
+    write_graph,
+)
+from gallai_ramsey.constructions import (
+    ConstructionError,
+    build_G62,
+    build_G82,
+    build_general_lower,
+    two_clique_witness,
+)
 from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition, find_rainbow_triangle
 from gallai_ramsey.patterns import SPattern, brute_force_contains_S, disjoint_edges
 from gallai_ramsey.search import (
@@ -25,6 +37,7 @@ from helpers import (
     brute_max_matching,
     check_disjoint_edges,
     exhaustive_witness_search_reference,
+    random_graph,
 )
 
 K3 = SPattern(3, 1)
@@ -430,22 +443,54 @@ def test_mutate_cross_edge_creates_mono_pattern(tmp_path, capsys):
         "ok=false n=10 k=2 t=6 r=2", "rainbow: none", f"color 1: pattern at center {w.center}"]
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_verify_construction_keeps_the_first_pattern_found_per_color(seed):
-    # these samples hold S_9^4, S_7^3 or only S_5^1 in different colors, so the
-    # order in which the patterns are given picks the witness a color keeps
-    g = random_gallai_sampler(3, 20, seed)
-    patterns = (SPattern(9, 4), SPattern(7, 3), SPattern(5, 1))
-    for given_order in (patterns, patterns[::-1]):
-        singles = [verify_construction(g, p) for p in given_order]
-        want = {}
-        for single in singles:
-            for c, w in single.mono_witnesses.items():
-                want.setdefault(c, w)
-        rep = verify_construction(g, *given_order)
-        assert rep.mono_witnesses == want
-        assert rep.rainbow == singles[0].rainbow
-        assert rep.ok == all(single.ok for single in singles)
+def test_verify_construction_needs_a_pattern():
+    with pytest.raises(TypeError):
+        verify_construction(new_monochromatic(30, 2, 1))  # full of S_6^2
+
+
+def _equivalence_cases():
+    """(name, graph, t): towers, samples and uniform random colorings, some
+    of them holding S_t^r at a small r only."""
+    for k in range(1, 7):
+        if k >= 2:
+            yield f"g62 k={k}", build_G62(k, verify=False).graph, 6
+            yield f"g82 k={k}", build_G82(k, verify=False).graph, 8
+        for t in (5, 8, 11):
+            yield f"general k={k} t={t}", build_general_lower(k, t, verify=False).graph, t
+    for t in range(3, 12):
+        yield f"two-clique t={t}", two_clique_witness(t, verify=False).graph, t
+    for seed in range(6):
+        yield f"sample seed={seed}", random_gallai_sampler(3, 20, seed), (7, 9)[seed % 2]
+    rng = random.Random(24)
+    for _ in range(6):
+        n = rng.randint(8, 16)
+        yield f"random_graph n={n}", random_graph(rng, n, rng.randint(1, 3)), rng.choice((5, 7, 9))
+
+
+def test_certifying_at_the_smallest_r_matches_certifying_each_r(monkeypatch):
+    # a tower claims every r in rs: its certificate, taken from the builders'
+    # own _finish, must give the verdict and witness colors of every r on its own
+    seen = []
+
+    def record(g, p):
+        seen.append(verify_construction(g, p))
+        return seen[-1]
+
+    monkeypatch.setattr(gallai_ramsey.constructions, "verify_construction", record)
+    for name, g, t in _equivalence_cases():
+        rs = tuple(range(1, (t - 1) // 2 + 1))
+        for claimed in (rs, rs[1:]) if len(rs) > 1 else (rs,):
+            singles = [verify_construction(g, SPattern(t, r)) for r in claimed]
+            seen.clear()
+            try:
+                gallai_ramsey.constructions._finish(name, g, g.n, t, claimed, True)
+            except ConstructionError:
+                pass
+            (rep,) = seen
+            assert rep.ok == all(single.ok for single in singles), (name, claimed)
+            assert set(rep.mono_witnesses) == {
+                c for single in singles for c in single.mono_witnesses}, (name, claimed)
+            assert rep.rainbow == singles[0].rainbow
 
 
 def test_sampler_outputs_are_gallai():
