@@ -24,7 +24,7 @@ from gallai_ramsey.constructions import (
     two_clique_witness,
 )
 from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition, find_rainbow_triangle
-from gallai_ramsey.patterns import SPattern, brute_force_contains_S, disjoint_edges
+from gallai_ramsey.patterns import SPattern, brute_force_contains_S, disjoint_edges, find_mono_S
 from gallai_ramsey.search import (
     SearchBudget,
     exhaustive_witness_search,
@@ -441,6 +441,22 @@ def test_mutate_cross_edge_creates_mono_pattern(tmp_path, capsys):
     assert w.validate(mutated, SPattern(6, 2))
     assert _verify_lines(mutated, 6, 2, tmp_path, capsys) == [
         "ok=false n=10 k=2 t=6 r=2", "rainbow: none", f"color 1: pattern at center {w.center}"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_construction_keeps_the_first_pattern_found_per_color(seed):
+    # these samples hold S_9^4, S_7^3 or only S_5^1 in different colors; for
+    # each pattern a color keeps the detector's first witness, and only a
+    # color that holds the pattern keeps one
+    g = random_gallai_sampler(3, 20, seed)
+    rainbow = find_rainbow_triangle(g)
+    for p in (SPattern(9, 4), SPattern(7, 3), SPattern(5, 1)):
+        want = {c: w for c in range(1, g.k + 1) if (w := find_mono_S(g, c, p)) is not None}
+        rep = verify_construction(g, p)
+        assert rep.mono_witnesses == want
+        assert all(w.color == c and w.validate(g, p) for c, w in want.items())
+        assert rep.rainbow == rainbow
+        assert rep.ok == (rainbow is None and not want)
 
 
 def test_verify_construction_needs_a_pattern():
