@@ -111,8 +111,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--budget-nodes", type=int, default=10**9)
-    p.add_argument("--budget-seconds", type=float, default=3600.0)
+    p.add_argument("--budget-nodes", type=int, default=SearchBudget.max_nodes)
+    p.add_argument("--budget-seconds", type=float, default=SearchBudget.max_time)
     p.add_argument("--out", help="write the witness here when found")
 
     p = sub.add_parser("sample",

@@ -75,10 +75,10 @@ MAX_ORDER = 10_000
 Order n costs n^2/2 bytes of colors plus n^2/8 bytes of rows per color: 50 MB
 plus 12.5 MB per color at 10,000, what a small machine can give one process.
 Past it a tower or a sample runs out of memory, or for hours, instead of
-failing.  The largest order the tests and CI build is 4,406 (``build_G82(9)``).
-G62(10) and G82(10) (6,406 and 8,812 vertices) still fit: with its rows
-composed from its shape and its Gallai tree started there, G82(10) is built
-and certified in about 0.7 s and 114 MB on a 2-core x86-64 host (CPython 3.11).
+failing.  The largest order CI builds is 8,812 (``build_G82(10)``); G62(10),
+with 6,406 vertices, fits too.  With its rows composed from its shape and its
+Gallai tree started there, G82(10) is built and certified in about 0.7 s and
+114 MB on a 2-core x86-64 host (CPython 3.11).
 """
 
 
@@ -176,10 +176,8 @@ class ColoredCompleteGraph:
 
     __slots__ = ("n", "k", "_colors", "_rows", "_shape")
 
-    def __init__(self, n: int, k: int, colors: bytes | bytearray | None = None):
-        check_order(n, k)  # before a default table is allocated
-        npairs = n * (n - 1) // 2
-        self._take(n, k, bytearray(b"\x01") * npairs if colors is None else bytearray(colors))
+    def __init__(self, n: int, k: int, colors: bytes | bytearray):
+        self._take(n, k, bytearray(colors))
 
     @classmethod
     def _owning(cls, n: int, k: int, table: bytearray) -> "ColoredCompleteGraph":
@@ -228,6 +226,8 @@ class ColoredCompleteGraph:
 
     def row_bytes(self, u: int) -> memoryview:
         """Colors of edges {u, v} for v = u+1 .. n-1, as a read-only buffer."""
+        if not 0 <= u < self.n:
+            raise ParameterError(f"vertex {u} out of range 0..{self.n - 1}")
         start = u * (2 * self.n - u - 1) // 2
         return memoryview(self._colors)[start : start + self.n - u - 1]
 
@@ -271,9 +271,6 @@ class ColoredCompleteGraph:
         return [c for c in range(1, self.k + 1) if c in self._colors]
 
     # -- misc ----------------------------------------------------------------
-
-    def copy(self) -> "ColoredCompleteGraph":
-        return ColoredCompleteGraph(self.n, self.k, self._colors)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColoredCompleteGraph):

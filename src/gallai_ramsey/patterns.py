@@ -111,8 +111,6 @@ def scan_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
     exclusions are evaluated as bitset operations over the per-color rows.
     """
     n, k = g.n, g.k
-    if n < 3:
-        return None
     rows = [None] + [g.rows(c) for c in range(1, k + 1)]
     for i in range(n - 2):
         row_i = [None] + [rows[c][i] for c in range(1, k + 1)]
@@ -261,44 +259,38 @@ def disjoint_edges(
     other thresholds branch on the kernel of those endpoints plus at most
     2*need neighbors of each, which keeps some `need`-matching if one exists.
     With v the lowest vertex left, nu(M) >= k iff nu(M - v) >= k or
-    nu(M - v - w) >= k - 1 for some neighbor w of v in M; the first descent
-    of that recursion is the greedy itself, so on at most 2*need + 1 members,
-    where the kernel is no smaller, the branching runs alone.  It is
+    nu(M - v - w) >= k - 1 for some neighbor w of v in M.  That branching is
     exponential in the worst case (K_{k-1, m}), so after |kernel|^2 steps the
     blossom algorithm answers instead.
     """
     if need <= 0:
         return ()
-    size = members.bit_count()
-    if size < 2 * need:
+    if members.bit_count() < 2 * need:
         return None
     if need == 2:
         return _two_edges(rows, members)
-    kernel = members
-    if size > 2 * need + 1:  # otherwise no vertex has more than 2*need neighbors
-        edges = []
-        avail = members
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            cand = rows[low.bit_length() - 1] & avail
-            if cand:
-                w = cand & -cand
-                avail ^= w
-                edges.append(low | w)
-                if len(edges) == need:
-                    return tuple(edges)
-        if 2 * len(edges) < need:
-            return None
-        kernel = ends = sum(edges)
-        for s in iter_bits(ends):
-            nb = rows[s] & members
-            for _ in range(2 * need):
-                low = nb & -nb
-                kernel |= low
-                nb ^= low
-        size = kernel.bit_count()
-    steps = size * size
+    edges = []
+    avail = members
+    while avail:
+        low = avail & -avail
+        avail ^= low
+        cand = rows[low.bit_length() - 1] & avail
+        if cand:
+            w = cand & -cand
+            avail ^= w
+            edges.append(low | w)
+            if len(edges) == need:
+                return tuple(edges)
+    if 2 * len(edges) < need:
+        return None
+    kernel = ends = sum(edges)
+    for s in iter_bits(ends):
+        nb = rows[s] & members
+        for _ in range(2 * need):
+            low = nb & -nb
+            kernel |= low
+            nb ^= low
+    steps = kernel.bit_count() ** 2
 
     def branch(m: int, k: int) -> Optional[tuple[int, ...]]:
         nonlocal steps

@@ -72,6 +72,7 @@ from gallai_ramsey.colored_graph import (
     blowup,
     check_order,
     iter_bits,
+    new_monochromatic,
 )
 from gallai_ramsey.gallai import find_rainbow_triangle
 from gallai_ramsey.patterns import (
@@ -144,7 +145,7 @@ def _join(state: int, x: int, bit: int) -> int:
 def exhaustive_witness_search(
     n: int,
     p: SPattern,
-    budget: SearchBudget | None = None,
+    budget: SearchBudget = SearchBudget(),
     *,
     collect: Optional[list[ColoredCompleteGraph]] = None,
 ) -> SearchOutcome:
@@ -160,8 +161,6 @@ def exhaustive_witness_search(
         raise ParameterError(f"search needs n >= 2, got n={n}")
     if n > _MAX_N:
         raise ParameterError(f"search supports n <= {_MAX_N}, got n={n}")
-    if budget is None:
-        budget = SearchBudget()
     min_deg, r = p.t - 1, p.r
     lo = min_deg - 1  # an old vertex with lo c-neighbors reaches min_deg through v
     # every center tested has min_deg >= 2r neighbors, so need=2 needs no size check
@@ -407,7 +406,7 @@ def random_gallai_sampler(k: int, n_target: int, seed: int) -> ColoredCompleteGr
 
     def build(size: int) -> ColoredCompleteGraph:
         if size == 1:
-            return ColoredCompleteGraph(1, k)
+            return new_monochromatic(1, k, 1)
         m = rng.randint(2, min(5, size))
         if k >= 2:
             c1, c2 = rng.sample(range(1, k + 1), 2)

@@ -41,6 +41,13 @@ def random_graph(rng: random.Random, n: int, k: int) -> ColoredCompleteGraph:
     return ColoredCompleteGraph(n, k, buf)
 
 
+def table_copy(g: ColoredCompleteGraph) -> ColoredCompleteGraph:
+    """A graph with g's colors and no shape, as if read from a file: its rows
+    are transposed from the table and its Gallai tree starts from the whole
+    vertex set."""
+    return ColoredCompleteGraph(g.n, g.k, b"".join(g.row_bytes(u) for u in range(g.n)))
+
+
 def has_rainbow_triangle_slow(g: ColoredCompleteGraph) -> tuple[int, int, int] | None:
     """Direct triple loop; first triple with three pairwise distinct edge colors."""
     for a in range(g.n):
@@ -100,10 +107,8 @@ def rainbow_free_3colorings(n: int):
 
     def rec(e: int, used: int) -> None:
         if e == len(pairs):
-            g = ColoredCompleteGraph(n, 3)
-            for ee, (i, j) in enumerate(pairs):
-                g.set_color(i, j, colors[ee])
-            out.append(g)
+            table = bytes(colors[idx[(i, j)]] for i in range(n) for j in range(i + 1, n))
+            out.append(ColoredCompleteGraph(n, 3, table))
             return
         i, j = pairs[e]
         for c in range(1, min(3, used + 1) + 1):

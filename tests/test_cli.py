@@ -28,7 +28,7 @@ from gallai_ramsey.colored_graph import (
 )
 from gallai_ramsey.constructions import build_G62, build_G82
 from gallai_ramsey.gallai import GallaiPartition
-from helpers import faulty_graph_file
+from helpers import faulty_graph_file, table_copy
 
 
 def _first_line(capsys) -> str:
@@ -156,7 +156,7 @@ def test_construct_refuses_a_flag_its_family_does_not_read(argv, flag, tmp_path,
 
 def test_verify_detects_violation(tmp_path, capsys):
     path = str(tmp_path / "mono.txt")
-    write_graph(ColoredCompleteGraph(6, 2), path)
+    write_graph(new_monochromatic(6, 2, 1), path)
     assert run(["verify", "--in", path, "--t", "3", "--r", "1"]) == 1
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "ok=false n=6 k=2 t=3 r=1"
@@ -180,13 +180,13 @@ def test_partition_report(tmp_path, capsys):
 
 
 def _recolored_pair(p):
-    reduced = p.reduced.copy()
+    reduced = table_copy(p.reduced)
     reduced.set_color(0, 1, next(c for c in reduced.used_colors() if c != reduced.color(0, 1)))
     return GallaiPartition(p.parts, reduced)
 
 
 _CORRUPTIONS = [
-    ("trivial", lambda p: GallaiPartition((tuple(range(25)),), ColoredCompleteGraph(1, p.reduced.k)),
+    ("trivial", lambda p: GallaiPartition((tuple(range(25)),), new_monochromatic(1, p.reduced.k, 1)),
      "partition is trivial (fewer than 2 parts)"),
     ("recolored-pair", _recolored_pair,
      "edge (0, 5) has color 2, part pair (0, 1) is recorded as color 3"),
@@ -338,7 +338,7 @@ def test_order_cap_covers_every_documented_order():
     # G82(8) is the largest graph the tests, the benchmark and the README build
     assert build_G82(8, verify=False).graph.n == 1762 <= MAX_ORDER
     with pytest.raises(ParameterError, match="vertex count"):
-        ColoredCompleteGraph(MAX_ORDER + 1, 2)
+        new_monochromatic(MAX_ORDER + 1, 2, 1)
 
 
 def test_usage_errors(capsys):

@@ -32,6 +32,7 @@ from helpers import (
     random_graph,
     random_nested_blowup,
     read_graph_reference,
+    table_copy,
 )
 
 
@@ -80,6 +81,16 @@ def test_edge_color_errors():
         g.color(0, 4)
     with pytest.raises(ParameterError):
         g.set_color(0, 1, 5)
+
+
+@pytest.mark.parametrize("u", [-2, -1, 5])
+def test_row_bytes_refuses_a_vertex_out_of_range(u):
+    # an unchecked -2 would slice row 0 plus one more color
+    g = ColoredCompleteGraph(5, 3, bytes(range(1, 4)) * 3 + b"\x01")
+    with pytest.raises(ParameterError, match=rf"vertex {u} out of range 0\.\.4"):
+        g.row_bytes(u)
+    assert g.row_bytes(0).tobytes() == bytes([1, 2, 3, 1])
+    assert g.row_bytes(4).tobytes() == b""
 
 
 def test_color_neighborhood_monochromatic():
@@ -350,7 +361,7 @@ def test_constructor_and_copy_do_not_share_the_table():
     g = ColoredCompleteGraph(3, 2, source)
     source[0] = 2
     assert g.color(0, 1) == 1
-    h = g.copy()
+    h = table_copy(g)
     h.set_color(0, 1, 2)
     assert g.color(0, 1) == 1
     g.set_color(1, 2, 2)
@@ -589,7 +600,7 @@ def test_composed_rows_match_reference_on_nested_blowups(seed, k, depth):
 @settings(max_examples=60, derandomize=True)
 def test_used_colors_after_mutation(seed, n, k):
     rng = random.Random(seed)
-    g = ColoredCompleteGraph(n, k)
+    g = new_monochromatic(n, k, 1)
     pairs = list(itertools.combinations(range(n), 2))
     for _ in range(rng.randint(1, 3 * n) if pairs else 0):
         g.set_color(*rng.choice(pairs), rng.randint(1, k))

@@ -38,6 +38,7 @@ from helpers import (
     rainbow_free_3colorings,
     random_graph,
     random_nested_blowup,
+    table_copy,
     verify_gallai_partition_reference,
 )
 
@@ -85,7 +86,7 @@ def test_monochromatic_partitions():
 
 def test_blowup_pentagon_partition():
     base = new_monochromatic(4, 3, 1)
-    g = blowup_pentagon([base.copy() for _ in range(5)], 2, 3)
+    g = blowup_pentagon([table_copy(base) for _ in range(5)], 2, 3)
     assert g.n == 20
     p = find_gallai_partition(g)
     assert isinstance(p, GallaiPartition)
@@ -96,7 +97,7 @@ def test_blowup_pentagon_partition():
 
 def test_blowup_reduced_graph_is_triangle_free():
     base = new_monochromatic(3, 3, 1)
-    g = blowup_pentagon([base.copy() for _ in range(5)], 2, 3)
+    g = blowup_pentagon([table_copy(base) for _ in range(5)], 2, 3)
     c = coarsest_partition_over_pairs(g)
     assert len(c.parts) == 5
     rg = reduced_graph(g, c)
@@ -223,7 +224,7 @@ def test_verify_matches_reference_on_bad_partitions(seed, faults):
     g = random_gallai_sampler(k, rng.randint(2, 40), seed)
     p = find_gallai_partition(g)
     parts = [list(part) for part in p.parts]
-    reduced = p.reduced.copy()
+    reduced = table_copy(p.reduced)
     for fault in faults:
         if fault == "mixed" and k > 1:
             i, j = rng.sample(range(len(parts)), 2)
@@ -233,7 +234,7 @@ def test_verify_matches_reference_on_bad_partitions(seed, faults):
             i, j = rng.sample(range(reduced.n), 2)
             reduced.set_color(i, j, rng.randint(1, k))
         elif fault == "order":
-            reduced = ColoredCompleteGraph(len(parts) + rng.choice((-1, 1)), k)
+            reduced = new_monochromatic(len(parts) + rng.choice((-1, 1)), k, 1)
         elif fault == "unsorted":
             for part in parts:
                 rng.shuffle(part)
@@ -452,7 +453,7 @@ def test_candidates_that_do_not_split_read_few_rows(k):
     # the one candidate that splits G82(k) must expand its components, but a
     # candidate that does not reaches the whole set within a few expansions
     # (a search that expands vertex 0's module first reads hundreds of rows)
-    reads = _root_reads(build_G82(k, verify=False).graph.copy())
+    reads = _root_reads(table_copy(build_G82(k, verify=False).graph))
     assert [cand for cand, (splits, _) in reads.items() if splits] == [(k - 1, k)]
     assert max(n for splits, n in reads.values() if not splits) <= 64
 
@@ -487,7 +488,7 @@ def test_tree_finds_a_deep_rainbow_triangle_through_inherited_colors(seed):
     g = _rainbow_at_depth(rng, rng.randint(3, 5), rng.randint(2, 4))
     tri = scan_rainbow_triangle(g)
     assert tri is not None
-    assert find_rainbow_triangle(g.copy()) == tri == find_rainbow_triangle(g)
+    assert find_rainbow_triangle(table_copy(g)) == tri == find_rainbow_triangle(g)
 
 
 # -- Gallai-tree certification ------------------------------------------------
@@ -525,7 +526,7 @@ def test_tree_certifies_towers_and_samples(no_scan_fallback):
         graphs.append(random_gallai_sampler(rng.randint(1, 6), rng.randint(1, 200), seed))
     for g in graphs:
         assert find_rainbow_triangle(g) is None
-        assert find_rainbow_triangle(g.copy()) is None
+        assert find_rainbow_triangle(table_copy(g)) is None
 
 
 def test_sample_is_certified_without_rows(monkeypatch):
@@ -615,4 +616,4 @@ def test_tree_matches_scan_on_recolored_gallai_colorings(family, seed):
     # must be the scan's lexicographically first one, from the shape or without it
     for g in _recolored_inputs(family, seed):
         tri = scan_rainbow_triangle(g)
-        assert find_rainbow_triangle(g) == tri == find_rainbow_triangle(g.copy())
+        assert find_rainbow_triangle(g) == tri == find_rainbow_triangle(table_copy(g))

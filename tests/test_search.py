@@ -38,6 +38,7 @@ from helpers import (
     check_disjoint_edges,
     exhaustive_witness_search_reference,
     random_graph,
+    table_copy,
 )
 
 K3 = SPattern(3, 1)
@@ -150,6 +151,10 @@ def _graphs_and_members(draw):
 @example(graph=([0b0110, 0b0101, 0b0011, 0], 0b1111), need=2)
 @example(graph=([0b0110, 0b0101, 0b1011, 0b0100], 0b1111), need=2)
 @example(graph=([0b0010, 0b1101, 0b0010, 0b0010], 0b1111), need=2)
+# need=3 on at most 2*need + 1 members, through the greedy and the kernel: the
+# path 2-0-1-3-4-5, whose greedy stalls at 2 edges though nu = 3, and K_{2,5}
+@example(graph=([0b000110, 0b001001, 0b000001, 0b010010, 0b101000, 0b010000], 0b111111), need=3)
+@example(graph=(_complete_bipartite(2, 5), (1 << 7) - 1), need=3)
 # the recursion runs out of steps on these and the blossom fallback answers
 @example(graph=(_complete_bipartite(2, 57), (1 << 59) - 1), need=3)
 @example(graph=(_complete_bipartite(3, 56), (1 << 59) - 1), need=4)
@@ -253,23 +258,23 @@ ALL_PATTERNS = [SPattern(t, r) for t in range(2, 8) for r in range((t - 1) // 2 
 def test_search_agrees_with_the_per_vector_reference(tmp_path):
     """Prefixes colored edge by edge, with pruned blocks counted unvisited,
     give the results of stepping through every whole color vector."""
-    cases = [(n, p, None) for n in range(2, 9) for p in ALL_PATTERNS]
+    cases = [(n, p, SearchBudget()) for n in range(2, 9) for p in ALL_PATTERNS]
     # stops inside a block of completions counted at once, and on its edges
     cases += [(9, SPattern(5, 2), SearchBudget(max_nodes=m))
               for m in (1, 2, 37, 500, 4096, 4097, 100_000)]
     cases += [(8, p, SearchBudget(max_nodes=m)) for p in ALL_PATTERNS for m in (37, 500)]
     # the benchmark's searches: two witnesses and a budget stop at r = 3
-    cases += [(10, SPattern(6, 2), None), (12, SPattern(7, 2), None),
+    cases += [(10, SPattern(6, 2), SearchBudget()), (12, SPattern(7, 2), SearchBudget()),
               (13, SPattern(7, 3), SearchBudget(max_nodes=150_000))]
     # deep trees at r = 1, 3 and 4: exhausted at 8,381 nodes, witnesses at
     # 848 and 4,984 nodes
-    cases += [(9, SPattern(5, 1), None), (11, SPattern(7, 3), None),
+    cases += [(9, SPattern(5, 1), SearchBudget()), (11, SPattern(7, 3), SearchBudget()),
               (13, SPattern(9, 4), SearchBudget(max_nodes=100_000))]
     # r = 3 past the fan (t >= 2r + 2), where the F table is set by the
     # matching test: witnesses at 261, 514, 1,019, 2,028, 2,044 and 4,077
     # nodes, and a budget stop before the n = 12 one
-    cases += [(n, SPattern(8, 3), None) for n in (9, 10, 11, 12)]
-    cases += [(12, SPattern(9, 3), None), (13, SPattern(9, 3), None),
+    cases += [(n, SPattern(8, 3), SearchBudget()) for n in (9, 10, 11, 12)]
+    cases += [(12, SPattern(9, 3), SearchBudget()), (13, SPattern(9, 3), SearchBudget()),
               (12, SPattern(8, 3), SearchBudget(max_nodes=1000))]
     for n, p, budget in cases:
         got = exhaustive_witness_search(n, p, budget)
@@ -421,7 +426,7 @@ def test_mutate_between_blocks_creates_rainbow(tmp_path, capsys):
         c = g.color(u, v)
         if c == 1:  # same block; pick again
             continue
-        mutated = g.copy()
+        mutated = table_copy(g)
         bad = next(x for x in range(1, 4) if x not in (1, c))
         mutated.set_color(u, v, bad)
         rep = verify_construction(mutated, SPattern(6, 2))
@@ -433,7 +438,7 @@ def test_mutate_between_blocks_creates_rainbow(tmp_path, capsys):
 
 def test_mutate_cross_edge_creates_mono_pattern(tmp_path, capsys):
     g = two_clique_witness(6, verify=False).graph
-    mutated = g.copy()
+    mutated = table_copy(g)
     mutated.set_color(0, 5, 1)  # vertex 5 sits in the other clique
     rep = verify_construction(mutated, SPattern(6, 2))
     assert not rep.ok
