@@ -21,20 +21,24 @@ run on the whole block as one integer, leaves each color's row bits in every
 nodes, is where the Gallai tree of ``gallai.find_rainbow_triangle`` starts.
 
 Every lower-bound coloring this package generates is a tower of blow-ups,
-each assembling the new table from row slices (``row_bytes``).  ``blowup``
+each assembling the new table from slices of its parts' rows.  ``blowup``
 replaces each template vertex by a part: ``join`` and ``blowup_pentagon``
 only build a 2- or 5-vertex template, and the sampler draws its own.  It,
 and the file reader, hand the table they build to the graph uncopied.
 
 A graph file holds one row of colors per line.  For k <= 9 every color is
-one digit, so a row is written, and read back, as digits on the even bytes
-and separators on the odd bytes; any other row is parsed field by field,
-which also words every error.
+one digit, so rows are written, and read back in one binary pass, in blocks
+of whole rows: digits on the even bytes and separators on the odd bytes,
+each checked and translated with a few byte operations per block.  Any other
+file, valid or not, is read again in text mode: each row is looked up by the
+spellings ``write_graph`` gives colors, and a row that is not spelled so is
+parsed field by field, which also words every error.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import os
+from typing import BinaryIO, Iterator
 
 
 class ParameterError(ValueError):
@@ -64,10 +68,10 @@ _ROW_BLOCK = 64  # vertex rows gathered per byte block while building bitsets
 _TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 _ASCII = bytes(range(128))
 _SCAN = 1 << 13  # table bytes range-checked per translate, so no table is held twice
-# for k <= 9 a color is one digit: these map color c to b"c" in a file and back
+# for k <= 9 a color is one digit: this maps color c to b"c" in a file
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
-_HEAD_PEEK = 64  # header bytes looked at to refuse a large order before the file is read
+_FILE_BLOCK = 1 << 15  # file bytes of whole one-digit rows read or written at a time
+_HEAD_PEEK = 64  # header bytes read first: a canonical header, or a large order to refuse
 
 MAX_ORDER = 10_000
 """Most vertices a graph may have.
@@ -229,7 +233,7 @@ class ColoredCompleteGraph:
         if not 0 <= u < self.n:
             raise ParameterError(f"vertex {u} out of range 0..{self.n - 1}")
         start = u * (2 * self.n - u - 1) // 2
-        return memoryview(self._colors)[start : start + self.n - u - 1]
+        return memoryview(self._colors)[start : start + self.n - u - 1].toreadonly()
 
     # -- per-color adjacency bitsets ----------------------------------------
 
@@ -317,9 +321,11 @@ def blowup(
     buf = bytearray()
     for i, part in enumerate(parts):
         tail = b"".join(bytes([c]) * q.n for c, q in zip(template.row_bytes(i), parts[i + 1 :]))
-        for u in range(part.n):
-            buf += part.row_bytes(u)
+        table, a = memoryview(part._colors), 0
+        for m in range(part.n - 1, -1, -1):  # the lengths of the part's rows, in order
+            buf += table[a : a + m]
             buf += tail
+            a += m
     g = ColoredCompleteGraph._owning(n, k, buf)
     if len(used) <= 2:
         g._shape = tuple(p.n if p._shape is None else (p._shape, p.n) for p in parts)
@@ -355,20 +361,73 @@ def blowup_pentagon(
 # -- serialization ------------------------------------------------------------
 
 
+def _row_blocks(n: int) -> Iterator[tuple[int, int, bytes]]:
+    """Whole rows of a one-digit file body of order n, at most ``_FILE_BLOCK`` bytes at a time.
+
+    Yields the table slice ``[a, b)`` a block holds and its separators: row u's
+    n - u - 1 digits go on the even bytes, and n - u - 2 spaces and a newline on
+    the odd ones.  A row has at most 2 (MAX_ORDER - 1) bytes, so every block
+    holds one row or more.
+    """
+    seps, rows, a, b = b" " * (n - 2) + b"\n", [], 0, 0
+    for u in range(n - 1):
+        if 2 * (b + n - u - 1 - a) > _FILE_BLOCK:
+            yield a, b, b"".join(rows)
+            rows, a = [], b
+        rows.append(seps[u:])
+        b += n - u - 1
+    yield a, b, b"".join(rows)
+
+
 def write_graph(g: ColoredCompleteGraph, path: str) -> None:
-    """Write g, one row at a time, in the text format ``read_graph`` reads back bit-exactly."""
-    seps = b" " * (g.n - 2) + b"\n"
+    """Write g in the text format ``read_graph`` reads back bit-exactly.
+
+    For k <= 9 the rows go out in row-aligned blocks, digits on the even bytes
+    and separators on the odd ones; above that each row is its colors' decimal
+    spellings joined by spaces.
+    """
+    n, k, table = g.n, g.k, g._colors
     with open(path, "wb") as fh:
-        fh.write(f"{g.n} {g.k}\n".encode())
-        for u in range(g.n - 1):
-            rb = g.row_bytes(u).tobytes()
-            if g.k > 9:
-                fh.write((" ".join(map(str, rb)) + "\n").encode())
-                continue
-            row = bytearray(2 * len(rb))
-            row[0::2] = rb.translate(_TO_DIGITS)
-            row[1::2] = seps[-len(rb) :]
-            fh.write(row)
+        fh.write(b"%d %d\n" % (n, k))
+        if k <= 9:
+            for a, b, seps in _row_blocks(n):
+                out = bytearray(2 * (b - a))
+                out[0::2] = table[a:b].translate(_TO_DIGITS)
+                out[1::2] = seps
+                fh.write(out)
+            return
+        spell, a = [b"%d" % c for c in range(k + 1)], 0
+        for m in range(n - 1, 0, -1):  # the lengths of the rows, in order
+            fh.write(b" ".join(map(spell.__getitem__, table[a : a + m])) + b"\n")
+            a += m
+
+
+def _read_blocks(fh: BinaryIO) -> ColoredCompleteGraph | None:
+    """The graph of a canonical file with k <= 9, read in row-aligned blocks, or None.
+
+    Canonical means a header ``n k`` spelled as ``write_graph`` spells it, a
+    size of exactly that header plus n (n - 1) bytes, digits in ``1..k`` on the
+    even bytes of the body and its separators on the odd ones.  Any other file
+    gives None, unread past the block that deviates.
+    """
+    head = fh.readline(_HEAD_PEEK)
+    try:
+        n, k = map(int, head.split(b" "))
+    except ValueError:
+        return None
+    if not (1 <= k <= 9 and 1 <= n <= MAX_ORDER and head == b"%d %d\n" % (n, k)
+            and os.fstat(fh.fileno()).st_size == len(head) + n * (n - 1)):
+        return None
+    ids = bytearray(256)  # b"1".."k" -> 1..k, every other byte -> 0
+    ids[49 : 49 + k] = range(1, k + 1)
+    buf = bytearray(n * (n - 1) // 2)
+    for a, b, seps in _row_blocks(n):
+        raw = fh.read(2 * (b - a))
+        colors = raw[0::2].translate(ids)
+        if raw[1::2] != seps or 0 in colors:
+            return None
+        buf[a:b] = colors
+    return ColoredCompleteGraph._owning(n, k, buf)
 
 
 def read_graph(path: str) -> ColoredCompleteGraph:
@@ -378,11 +437,19 @@ def read_graph(path: str) -> ColoredCompleteGraph:
     edges {i-1, j} for j = i..n-1, space-separated.  A trailing newline is
     required.  Malformed input raises ``GraphParseError`` naming the line.
 
-    A header whose order is above ``MAX_ORDER`` is refused first.  Otherwise
-    the file is read twice, line by line: a first pass counts the lines, so
-    the whole text is never held at once.
+    A canonical file with k <= 9, as ``write_graph`` writes it, is read in one
+    binary pass of row-aligned blocks.  Any other file is read again from the
+    top, in text mode: a header whose order is above ``MAX_ORDER`` is refused
+    first; otherwise a first pass counts the lines, so the whole text is never
+    held at once, and a second one parses each row.  A row of canonical
+    spellings is looked up at once; any other row is parsed field by field,
+    which also accepts fields such as ``01`` and words every error.
     """
     with open(path, "r", encoding="ascii") as fh:
+        g = _read_blocks(fh.buffer)
+        if g is not None:
+            return g
+        fh.seek(0)
         first = fh.buffer.readline(_HEAD_PEEK).splitlines(keepends=True)[:1]
         try:
             order, _ = map(int, first[0].decode("ascii").rstrip("\r\n").split(" "))
@@ -425,21 +492,21 @@ def read_graph(path: str) -> ColoredCompleteGraph:
             )
         check_order(n, k)  # a line 1 longer than the peek, before the table is allocated
         buf = bytearray(n * (n - 1) // 2)
-        seps, digits = b" " * (n - 2) + b"\n", b"123456789"[:k]
+        spell = {str(c): c for c in range(1, k + 1)}
         for u, line in enumerate(fh):
             expected, pos = n - u - 1, u * (2 * n - u - 1) // 2
-            if len(line) == 2 * expected:
-                raw = line.encode()
-                evens = raw[0::2]
-                if raw[1::2] == seps[-expected:] and not evens.translate(None, digits):
-                    buf[pos : pos + expected] = evens.translate(_FROM_DIGITS)
-                    continue
             # counted before any copy is made, so an over-long row costs no more than itself
             nfields = line.count(" ") + 1
             if nfields != expected:
                 raise GraphParseError(f"line {u + 2}: expected {expected} colors, got {nfields}")
+            fields = line[:-1].split(" ")
+            try:
+                buf[pos : pos + expected] = bytes(map(spell.__getitem__, fields))
+                continue
+            except KeyError:  # a field not spelled as write_graph spells a color in 1..k
+                pass
             row = []
-            for f in line[:-1].split(" "):
+            for f in fields:
                 try:
                     c = int(f)
                 except ValueError:

@@ -447,11 +447,24 @@ def faulty_graph_file(rng: random.Random) -> bytes:
     return data
 
 
+def write_graph_reference(g: ColoredCompleteGraph, path: str) -> None:
+    """The field-by-field graph-file writer that ``write_graph`` must match byte for byte.
+
+    Line 1 is ``n k``; line i+1 (for i = 1..n-1) holds the colors of edges
+    {i-1, j} for j = i..n-1 in decimal, space-separated; every line ends in
+    a newline.
+    """
+    with open(path, "wb") as fh:
+        fh.write(f"{g.n} {g.k}\n".encode())
+        for u in range(g.n - 1):
+            fh.write((" ".join(map(str, g.row_bytes(u))) + "\n").encode())
+
+
 def read_graph_reference(path: str) -> ColoredCompleteGraph:
     """The per-field graph-file reader that ``read_graph`` must agree with.
 
-    Kept unchanged as the reference for its one-digit row path: every file
-    gives the same graph or the same exception type and message, except a
+    Kept unchanged as the reference for its block and lookup paths: every
+    file gives the same graph or the same exception type and message, except a
     header with an order above ``MAX_ORDER``, which ``read_graph`` refuses
     at line 1 before reading the rest.
 

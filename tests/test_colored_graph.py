@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gallai_ramsey.colored_graph import (
+    _FILE_BLOCK,
     MAX_ORDER,
     ColoredCompleteGraph,
     GraphParseError,
@@ -33,6 +34,7 @@ from helpers import (
     random_nested_blowup,
     read_graph_reference,
     table_copy,
+    write_graph_reference,
 )
 
 
@@ -91,6 +93,15 @@ def test_row_bytes_refuses_a_vertex_out_of_range(u):
         g.row_bytes(u)
     assert g.row_bytes(0).tobytes() == bytes([1, 2, 3, 1])
     assert g.row_bytes(4).tobytes() == b""
+
+
+def test_row_bytes_is_read_only():
+    # a write through it would skip set_color's range check and its row drop
+    g = new_monochromatic(4, 2, 1)
+    assert g.rows(2) == [0, 0, 0, 0]
+    with pytest.raises(TypeError):
+        g.row_bytes(0)[0] = 2
+    assert g.color(0, 1) == 1 and g.rows(2) == [0, 0, 0, 0]
 
 
 def test_color_neighborhood_monochromatic():
@@ -340,6 +351,126 @@ def test_reader_matches_reference_on_edge_rows(data, tmp_path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_reader_matches_reference_reader(seed, tmp_path):
     _assert_reads_like_reference(faulty_graph_file(random.Random(seed)), str(tmp_path / "g.txt"))
+
+
+def test_file_io_holds_a_few_blocks_at_a_time(tmp_path):
+    # G82(8)'s file is 3.1 MB; writing holds a few 32 KB blocks of its text,
+    # and reading those blocks and the 1.55 MB table it returns
+    g = build_G82(8, verify=False).graph
+    path = str(tmp_path / "g.txt")
+    tracemalloc.start()
+    try:
+        write_graph(g, path)
+        before, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = read_graph(path)
+        kept, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert write_peak - before < 2**18
+    assert read_peak - kept < 2**18
+
+
+def _block_spans(n):
+    """(first, last) file offsets after the header of each one-digit block of order n.
+
+    A block holds whole rows, at most ``_FILE_BLOCK`` bytes; row u has
+    2 (n - u - 1) bytes.  Also the offsets of every row's newline.
+    """
+    spans, ends, first, off = [], [], 0, 0
+    for u in range(n - 1):
+        size = 2 * (n - u - 1)
+        if off + size - first > _FILE_BLOCK:
+            spans.append((first, off - 1))
+            first = off
+        off += size
+        ends.append(off - 1)
+    spans.append((first, off - 1))
+    return spans, ends
+
+
+def _byte_faults(body, at, k):
+    """The single-byte faults at offset ``at`` of a file body."""
+    swap = at + 1 if at + 1 < len(body) else at - 1  # a digit and a separator change places
+    lo, hi = min(at, swap), max(at, swap)
+    yield body[:lo] + body[hi : hi + 1] + body[lo : lo + 1] + body[hi + 1 :]
+    for byte in (b"0", str(k + 1).encode(), b"\r"):
+        yield body[:at] + byte + body[at + 1 :]
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_block_reader_matches_reference_on_faults_at_block_edges(k, tmp_path):
+    # n = 400 spans several blocks; each file reads as the reference reads it:
+    # the same graph (a CR line end, accepted through the text path), or the
+    # same exception type and message
+    n, path = 400, str(tmp_path / "g.txt")
+    write_graph_reference(random_graph(random.Random(k), n, k), path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, body = data[: data.index(b"\n") + 1], data[data.index(b"\n") + 1 :]
+    spans, ends = _block_spans(n)
+    assert len(spans) >= 3 and spans[-1][1] == len(body) - 1
+    # the first and last byte of the first two blocks and of the last one,
+    # and a row end inside the third block
+    inner = next(e for e in ends if spans[2][0] < e < spans[2][1])
+    offsets = {*spans[0], *spans[1], *spans[-1], inner}
+    cases = [data]
+    for at in sorted(offsets):
+        cases += [head + faulty for faulty in _byte_faults(body, at, k)]
+    # the last block truncated by one byte, and cut at its middle
+    cases += [data[:-1], head + body[: (spans[-1][0] + spans[-1][1]) // 2]]
+    for case in cases:
+        _assert_reads_like_reference(case, path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"1 3\n",
+        b"1 3",
+        b"1 3\r\n",
+        b"1 3\n1\n",
+        b"01 3\n",
+        b"2\r 3\n2\n",  # int() takes "2\r", but the CR ends line 1
+        b"2 3\n2\n",
+        b"2 3\n2",
+        b"2 3\n2\r",
+        b"2 3\n0\n",
+        b"2 3\n4\n",
+        b"2 3\n \n",
+        b"2 3\n2 \n",
+        b"2 3\n\n2",
+        b"2 9\n9\n\n",
+    ],
+)
+def test_block_reader_matches_reference_on_orders_1_and_2(data, tmp_path):
+    _assert_reads_like_reference(data, str(tmp_path / "g.txt"))
+
+
+# n (n - 1) file bytes exceed one 32 KB block from n = 182 on
+_WRITE_ORDERS = st.integers(1, 255).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(182 if k <= 9 else 1, 300)))
+
+
+@pytest.mark.property_based
+@given(kn=_WRITE_ORDERS, seed=st.integers(0, 10**6))
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(kn=(9, 182), seed=1)
+@example(kn=(10, 1), seed=2)
+@example(kn=(255, 2), seed=3)
+def test_writer_matches_reference_writer_and_reads_back(kn, seed, tmp_path):
+    k, n = kn
+    g = random_graph(random.Random(seed), n, k)
+    path, ref = str(tmp_path / "g.txt"), str(tmp_path / "ref.txt")
+    write_graph(g, path)
+    write_graph_reference(g, ref)
+    with open(path, "rb") as got, open(ref, "rb") as want:
+        data = got.read()
+        assert data == want.read()
+    assert k > 9 or len(data) > _FILE_BLOCK
+    assert read_graph(path) == g
 
 
 @pytest.mark.parametrize("offset", [0, 5, 65535, 65536, -1])
