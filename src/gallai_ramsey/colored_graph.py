@@ -11,8 +11,11 @@ shape, the orders of its parts nested as the parts were built, until an edge of
 it is recolored, so every template node of a shape is a Gallai split.  Its rows
 are composed from the shape: a vertex's row is its leaf block's row shifted
 into place, ORed with the masks of the parts joined to its enclosing parts in
-that color, read from the graph's own table at the parts' first vertices.  A
-table read from a file or passed in, and a leaf block, is transposed instead:
+that color, read from the graph's own table at the parts' first vertices.
+The same walk records the colors inside each part for ``patterns.find_mono_S``:
+a part with no c-edge inside is a module of c-twins, tested once and cut to r
+vertices in a neighborhood.  A table read from a file or passed in, and a leaf
+block, is transposed instead:
 64 vertex rows at a time are gathered into a byte block, each row padded to
 whole 8-byte lanes.  Per group of 8 colors one ``bytes.translate`` turns the
 block into one bit per color per byte, and an 8x8 bit transpose of every lane,
@@ -24,7 +27,9 @@ Every lower-bound coloring this package generates is a tower of blow-ups,
 each assembling the new table from slices of its parts' rows.  ``blowup``
 replaces each template vertex by a part: ``join`` and ``blowup_pentagon``
 only build a 2- or 5-vertex template, and the sampler draws its own.  It,
-and the file reader, hand the table they build to the graph uncopied.
+and the file reader, hand the table they build to the graph uncopied and
+unscanned, as every color in it is already checked; the public constructor
+copies and range-checks the table it is given.
 
 A graph file holds one row of colors per line.  For k <= 9 every color is
 one digit, so rows are written, and read back in one binary pass, in blocks
@@ -81,8 +86,9 @@ plus 12.5 MB per color at 10,000, what a small machine can give one process.
 Past it a tower or a sample runs out of memory, or for hours, instead of
 failing.  The largest order CI builds is 8,812 (``build_G82(10)``); G62(10),
 with 6,406 vertices, fits too.  With its rows composed from its shape and its
-Gallai tree started there, G82(10) is built and certified in about 0.7 s and
-114 MB on a 2-core x86-64 host (CPython 3.11).
+Gallai tree started there, and its S_t^r test run per template part,
+G82(10) is built and certified in about 0.35 s and 114 MB on a 2-core x86-64
+host (CPython 3.11).
 """
 
 
@@ -135,8 +141,9 @@ def _transposed_rows(n: int, k: int, colors: bytes | bytearray) -> dict[int, lis
     return rows
 
 
-def _composed_rows(n: int, k: int, colors: bytearray, nodes: Iterator) -> dict[int, list[int]]:
-    """Rows of a blow-up whose table is ``colors``, from its template ``nodes``.
+def _composed_rows(n: int, k: int, colors: bytearray, nodes: list) -> tuple[dict, dict]:
+    """Rows of a blow-up whose table is ``colors``, from its template ``nodes``,
+    and the mask of the colors inside each part, by (first vertex, end).
 
     A vertex's row is its leaf block's row shifted to the block's first vertex,
     ORed with the masks its enclosing parts inherit in each color.  The color
@@ -148,27 +155,39 @@ def _composed_rows(n: int, k: int, colors: bytearray, nodes: Iterator) -> dict[i
 
     rows = {c: [0] * n for c in range(1, k + 1)}
     table = memoryview(colors)
-    leaves: dict[bytes, dict[int, list[int]]] = {}
+    leaves: dict[bytes, tuple[dict[int, list[int]], int]] = {}  # rows and colors inside
     inherited = {0: [0] * (k + 1)}  # mask per color of each pending node, by its first vertex
+    inside: dict[tuple[int, int], int] = {}
+    between = []  # the colors between the parts of each node
     for node in nodes:
         above = inherited.pop(node[0][0])
         masks = [(1 << e) - (1 << b) for b, e, _ in node]
+        joins = 0
         for a, e, is_leaf in node:
             inh = above.copy()
             for (b, _, _), mask in zip(node, masks):
                 if b != a:
-                    inh[table[at(a, b) if a < b else at(b, a)]] |= mask
+                    c = table[at(a, b) if a < b else at(b, a)]
+                    inh[c] |= mask
+                    joins |= 1 << c
             if not is_leaf:
                 inherited[a] = inh
             else:
                 key = b"".join(table[at(u, u + 1) : at(u, e - 1) + 1] for u in range(a, e - 1))
                 leaf = leaves.get(key)
                 if leaf is None:
-                    leaf = leaves[key] = _transposed_rows(e - a, k, key)
+                    leaf = leaves[key] = (_transposed_rows(e - a, k, key),
+                                          sum(1 << c for c in set(key)))
+                inside[a, e] = leaf[1]
                 for c in range(1, k + 1):
                     h = inh[c]
-                    rows[c][a:e] = [r << a | h for r in leaf[c]]
-    return rows
+                    rows[c][a:e] = [r << a | h for r in leaf[0][c]]
+        between.append(joins)
+    for node, joins in zip(reversed(nodes), reversed(between)):  # parts before their nodes
+        for a, e, _ in node:
+            joins |= inside[a, e]
+        inside[node[0][0], node[-1][1]] = joins
+    return rows, inside
 
 
 class ColoredCompleteGraph:
@@ -178,14 +197,22 @@ class ColoredCompleteGraph:
     this to reserve color ids they will introduce in later stages.
     """
 
-    __slots__ = ("n", "k", "_colors", "_rows", "_shape")
+    __slots__ = ("n", "k", "_colors", "_rows", "_parts", "_shape")
 
     def __init__(self, n: int, k: int, colors: bytes | bytearray):
-        self._take(n, k, bytearray(colors))
+        table = bytearray(colors)
+        self._take(n, k, table)
+        ids = bytes(range(1, k + 1))
+        for i in range(0, len(table), _SCAN):
+            scan = table[i : i + _SCAN]
+            if scan.translate(None, ids):
+                bad = scan[len(scan) - len(scan.lstrip(ids))]  # the first, in table order
+                raise ParameterError(f"color id {bad} outside 1..{k}")
 
     @classmethod
     def _owning(cls, n: int, k: int, table: bytearray) -> "ColoredCompleteGraph":
-        """A graph that keeps ``table``, which this module has just built, uncopied."""
+        """A graph that keeps ``table``, which this module has just built, uncopied
+        and unscanned: each caller has checked that its entries lie in 1..k."""
         return cls.__new__(cls)._take(n, k, table)
 
     def _take(self, n: int, k: int, table: bytearray) -> "ColoredCompleteGraph":
@@ -193,14 +220,9 @@ class ColoredCompleteGraph:
         npairs = n * (n - 1) // 2
         if len(table) != npairs:
             raise ParameterError(f"color table has {len(table)} entries, expected {npairs}")
-        ids = bytes(range(1, k + 1))
-        for i in range(0, npairs, _SCAN):
-            scan = table[i : i + _SCAN]
-            if scan.translate(None, ids):
-                bad = scan[len(scan) - len(scan.lstrip(ids))]  # the first, in table order
-                raise ParameterError(f"color id {bad} outside 1..{k}")
         self.n, self.k, self._colors = n, k, table
         self._rows: dict[int, list[int]] | None = None
+        self._parts: list[list[tuple[int, int, bool, int]]] = []  # set with the rows
         self._shape: tuple | None = None  # set by blowup while the table is its blow-up
         return self
 
@@ -238,12 +260,20 @@ class ColoredCompleteGraph:
     # -- per-color adjacency bitsets ----------------------------------------
 
     def _build_rows(self) -> dict[int, list[int]]:
+        """The color rows; sets ``_parts``, the template nodes with each part as
+        (first vertex, end, leaf, mask with bit c for each color c inside it)."""
+        nodes = list(self._template_nodes())
         if self._shape is None:
-            return _transposed_rows(self.n, self.k, self._colors)
-        return _composed_rows(self.n, self.k, self._colors, self._template_nodes())
+            rows = _transposed_rows(self.n, self.k, self._colors)
+            inside = {(0, self.n): sum(1 << c for c in rows if any(rows[c]))}
+        else:
+            rows, inside = _composed_rows(self.n, self.k, self._colors, nodes)
+        self._parts = [[(a, e, leaf, inside[a, e]) for a, e, leaf in node] for node in nodes]
+        return rows
 
     def _template_nodes(self) -> Iterator[list[tuple[int, int, bool]]]:
-        """The template nodes of the shape this graph holds, each before those in its parts.
+        """The template nodes of the shape this graph holds, each before those in
+        its parts, so their first vertices never decrease.
 
         A node lists its parts as (first vertex, end, leaf), a leaf part being a
         block with no shape of its own.  A graph with no shape is one node whose
@@ -252,14 +282,15 @@ class ColoredCompleteGraph:
         stack = [((self.n,) if self._shape is None else self._shape, 0)]
         while stack:
             parts, o = stack.pop()
-            node = []
+            node, inner = [], []
             for part in parts:
                 leaf = type(part) is int
                 m = part if leaf else part[1]
                 if not leaf:
-                    stack.append((part[0], o))
+                    inner.append((part[0], o))
                 node.append((o, o + m, leaf))
                 o += m
+            stack += reversed(inner)
             yield node
 
     def rows(self, c: int) -> list[int]:

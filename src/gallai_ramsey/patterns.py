@@ -11,7 +11,12 @@ matching condition: color c contains the pattern iff some center v has at
 least t-1 c-neighbors and the c-subgraph induced on those neighbors has a
 matching of size r.  The reduction needs t-1 >= 2r (enforced by SPattern), so
 any r-matching inside the neighborhood leaves enough spare neighbors to serve
-as pendant leaves.  ``brute_force_contains_S`` re-decides containment by
+as pendant leaves.  On a blow-up the detector tests template parts instead
+of vertices: a part with no c-edge inside is a module whose members are
+c-twins with no c-edge among them, so one test serves all its members, and
+an r-matching meets it in at most r vertices, one per edge, any r of which
+serve, so a neighborhood keeps only r of them, its kernel, for the test.
+``brute_force_contains_S`` re-decides containment by
 explicit embedding enumeration and exists solely to cross-check the fast
 detector; the equivalence is asserted by tests, not assumed.
 
@@ -337,32 +342,67 @@ def find_mono_S(
 ) -> Optional[SWitness]:
     """First witness of the pattern in color c, scanning centers in id order.
 
-    Whether a center works depends only on its neighborhood bitset, so a
-    neighborhood that failed the matching test is not tested again: in
-    blow-ups, many vertices share their rows.
+    Walks g's template parts in id order; a graph with no shape is one leaf
+    block.  A part with no c-edge inside is a module of c-twins: it takes one
+    test, at its first vertex, and is not entered.  Joined to a center in c,
+    such a part meets an r-matching in at most r vertices, any r of its own,
+    so the matching test keeps only its first min(r, size) vertices, its
+    kernel.  A leaf block with a c-edge inside tests each member on its row in
+    the block plus those kernels; a member set that failed is not retested.
+    The witness comes from the first center's full neighborhood.
     """
     n = g.n
     t, r = p.t, p.r
     if n < t:
         return None
     rows = g.rows(c)
+    bit = 1 << c
     failed: set[int] = set()
-    for v in range(n):
-        nb = rows[v]
-        if nb.bit_count() < t - 1 or nb in failed:
-            continue
-        edges = disjoint_edges(rows, nb, r)
-        if edges is None:
-            failed.add(nb)
-            continue
-        rest = nb & ~sum(edges)  # the edges are disjoint, so their sum is their union
-        return SWitness(
-            center=v,
-            triangle_edges=tuple(sorted((lsb_index(e), e.bit_length() - 1) for e in edges)),
-            pendants=tuple(islice(iter_bits(rest), p.pendant_count)),
-            color=c,
-        )
-    return None
+    best = n  # the first center found so far
+    pending = {0: 0}  # the kernels a part to be entered inherits, by its first vertex
+    for node in g._parts:
+        if node[0][0] >= best:
+            break
+        above = pending.pop(node[0][0], None)
+        if above is None:
+            continue  # inside a part tested as a whole
+        kernels = [(1 << e) - (1 << a) if inside & bit else (1 << min(r, e - a)) - 1 << a
+                   for a, e, _, inside in node]
+        for a, e, leaf, inside in node:
+            if a >= best:
+                break
+            members, row = above, rows[a]
+            for (b, _, _, _), kernel in zip(node, kernels):
+                if row >> b & 1:  # the part at b is joined to this one in c
+                    members |= kernel
+            if inside & bit and not leaf:
+                pending[a] = members
+                continue
+            block = (1 << e) - (1 << a)
+            shrunk = (row & ~block) != members  # some joined part is cut to its kernel
+            for v in range(a, e) if inside & bit else (a,):
+                nb = rows[v]
+                if nb.bit_count() < t - 1:
+                    continue
+                m = nb & block | members if shrunk else nb
+                if m in failed:
+                    continue
+                if disjoint_edges(rows, m, r) is None:
+                    failed.add(m)
+                else:
+                    best = v
+                    break
+    if best == n:
+        return None
+    nb = rows[best]
+    edges = disjoint_edges(rows, nb, r)
+    rest = nb & ~sum(edges)  # the edges are disjoint, so their sum is their union
+    return SWitness(
+        center=best,
+        triangle_edges=tuple(sorted((lsb_index(e), e.bit_length() - 1) for e in edges)),
+        pendants=tuple(islice(iter_bits(rest), p.pendant_count)),
+        color=c,
+    )
 
 
 def brute_force_contains_S(g: ColoredCompleteGraph, c: int, p: SPattern) -> bool:

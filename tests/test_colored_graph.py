@@ -23,7 +23,14 @@ from gallai_ramsey.colored_graph import (
     read_graph,
     write_graph,
 )
-from gallai_ramsey.constructions import build_G62, build_G82, build_general_lower
+from gallai_ramsey.constructions import (
+    build_G62,
+    build_G82,
+    build_general_lower,
+    matched_clique,
+    two_clique_witness,
+)
+from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition
 from gallai_ramsey.search import random_gallai_sampler
 from helpers import (
     build_rows_reference,
@@ -725,6 +732,75 @@ def test_composed_rows_match_reference_on_samples(k, n, seed):
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_composed_rows_match_reference_on_nested_blowups(seed, k, depth):
     _assert_rows_match_reference(random_nested_blowup(random.Random(seed), k, depth))
+
+def _colors_inside_reference(g, a, e):
+    """Mask with bit c for each color c on an edge with both ends in a..e-1."""
+    inside = set(b"".join(g.row_bytes(u)[: e - u - 1] for u in range(a, e)))
+    return sum(1 << c for c in inside)
+
+
+def _assert_part_colors_match_reference(g):
+    g.rows(1)
+    nodes = list(g._template_nodes())
+    assert [[part[:3] for part in node] for node in g._parts] == nodes
+    firsts = [node[0][0] for node in nodes]
+    assert firsts == sorted(firsts)  # the detector stops at the first center found
+    for node in g._parts:
+        for a, e, _, inside in node:
+            assert inside == _colors_inside_reference(g, a, e)
+
+
+@pytest.mark.parametrize("build, k", [(b, k) for b in (build_G62, build_G82) for k in range(2, 7)],
+                         ids=[f"{b}-{k}" for b in ("g62", "g82") for k in range(2, 7)])
+def test_part_colors_match_reference_on_pinned_towers(build, k):
+    _assert_part_colors_match_reference(build(k, verify=False).graph)
+
+
+@pytest.mark.property_based
+@given(kind=st.sampled_from(("nested", "sample", "table")), seed=st.integers(0, 10**6),
+       k=st.integers(1, 12))
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_part_colors_match_reference_on_random_blowups(kind, seed, k):
+    rng = random.Random(seed)
+    if kind == "nested":
+        g = random_nested_blowup(rng, k, rng.randint(1, 4))
+    else:
+        g = random_gallai_sampler(k, rng.randint(1, 120), seed)
+        if kind == "table":
+            g = table_copy(g)  # no shape: one leaf block of all its vertices
+    _assert_part_colors_match_reference(g)
+
+
+@pytest.mark.property_based
+@given(kind=st.sampled_from(("sample", "tower", "file", "reduced")), seed=st.integers(0, 10**6),
+       k=st.integers(1, 12))
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_tables_kept_unscanned_hold_only_colors_in_range(kind, seed, k, tmp_path):
+    # only the public constructor range-checks a table; every table the package
+    # builds itself is kept unscanned, so it must hold colors in 1..k alone
+    rng = random.Random(seed)
+    g = random_gallai_sampler(k, rng.randint(2, 150), seed)
+    if kind == "tower":
+        g = rng.choice([
+            lambda: build_G62(rng.randint(2, 5), verify=False).graph,
+            lambda: build_G82(rng.randint(2, 5), verify=False).graph,
+            lambda: build_general_lower(rng.randint(1, 4), rng.randint(4, 9), (1,), verify=False).graph,
+            lambda: two_clique_witness(rng.randint(3, 9), verify=False).graph,
+            lambda: matched_clique(8, [rng.randint(1, k) for _ in range(4)], k),
+        ])()
+    elif kind == "file":
+        path = tmp_path / "g.txt"
+        write_graph(g, str(path))
+        if rng.random() < 0.5:  # spell colors with a leading zero: the per-field reader
+            path.write_bytes(re.sub(rb"(?<![0-9])([0-9])", rb"0\1", path.read_bytes()))
+        g = read_graph(str(path))
+    elif kind == "reduced":
+        partition = find_gallai_partition(g)
+        assert isinstance(partition, GallaiPartition)
+        g = partition.reduced
+    assert g._colors.translate(None, bytes(range(1, g.k + 1))) == b""
+
 
 @pytest.mark.property_based
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 30), k=st.integers(1, 255))

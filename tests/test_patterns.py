@@ -16,10 +16,16 @@ import gallai_ramsey.patterns
 from gallai_ramsey.colored_graph import (
     ColoredCompleteGraph,
     ParameterError,
+    blowup,
     join,
     new_monochromatic,
 )
-from gallai_ramsey.constructions import build_G62, build_G82
+from gallai_ramsey.constructions import (
+    build_G62,
+    build_G82,
+    build_general_lower,
+    two_clique_witness,
+)
 from gallai_ramsey.gallai import find_rainbow_triangle
 from gallai_ramsey.patterns import (
     SPattern,
@@ -36,8 +42,11 @@ from helpers import (
     has_rainbow_triangle_slow,
     random_blowup,
     random_graph,
+    random_nested_blowup,
     random_parts_graph,
+    table_copy,
 )
+from gallai_ramsey.search import random_gallai_sampler
 
 
 # -- pattern parameter validation ---------------------------------------------
@@ -240,6 +249,75 @@ def test_detector_matches_unmemoised_reference(kind, seed):
         for p in REFERENCE_PATTERNS:
             for c in range(1, g.k + 1):
                 assert find_mono_S(g, c, p) == find_mono_S_reference(g, c, p)
+
+
+# -- the per-part test over a blow-up's shape -----------------------------------
+
+
+def _assert_detector_matches_reference_on_the_table(g, patterns):
+    # the reference tests every center of a copy with no shape, on its full
+    # neighborhood; the detector tests each part with no c-edge inside once,
+    # and shrinks such parts to kernels inside neighborhoods
+    flat = table_copy(g)
+    for p in patterns:
+        for c in range(1, g.k + 1):
+            assert find_mono_S(g, c, p) == find_mono_S_reference(flat, c, p)
+
+
+def _patterns(t):
+    return [SPattern(t, r) for r in range(min(4, (t - 1) // 2) + 1)]
+
+
+@pytest.mark.parametrize("build, t, k", [(b, t, k) for b, t in ((build_G62, 6), (build_G82, 8))
+                                         for k in range(2, 9)],
+                         ids=[f"{b}-{k}" for b in ("g62", "g82") for k in range(2, 9)])
+def test_detector_matches_reference_on_swap_towers(build, t, k):
+    g = build(k, verify=False).graph
+    assert g._shape is not None
+    _assert_detector_matches_reference_on_the_table(g, _patterns(t))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("t", [5, 8, 11])
+def test_detector_matches_reference_on_general_towers(k, t):
+    g = build_general_lower(k, t, (1,), verify=False).graph
+    _assert_detector_matches_reference_on_the_table(g, _patterns(t))
+
+
+@pytest.mark.parametrize("t", [3, 4, 6, 9])
+def test_detector_matches_reference_on_two_clique_towers(t):
+    g = two_clique_witness(t, verify=False).graph
+    _assert_detector_matches_reference_on_the_table(g, _patterns(t) + _patterns(t + 1))
+
+
+@pytest.mark.property_based
+@given(kind=st.sampled_from(("nested", "sample")), seed=st.integers(0, 10**6),
+       k=st.integers(1, 5))
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_detector_matches_reference_on_random_blowups(kind, seed, k):
+    rng = random.Random(seed)
+    if kind == "nested":
+        g = random_nested_blowup(rng, k, rng.randint(1, 4))
+    else:
+        g = random_gallai_sampler(k, rng.randint(1, 120), seed)
+    patterns = [SPattern(t, r) for r in range(5) for t in {max(2, 2 * r + 1), 2 * r + 3}]
+    _assert_detector_matches_reference_on_the_table(g, patterns)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_kernel_of_a_module_keeps_r_vertices(r):
+    # a center joined in color 1 to Q (r + 1 vertices) and X (r vertices),
+    # neither with a color-1 edge inside, and Q joined to X in color 1: the
+    # center's neighborhood is K_{r+1,r}, and its r-matching needs r vertices
+    # of Q, the most a kernel of Q keeps, and all of X
+    parts = [new_monochromatic(1, 2, 1), new_monochromatic(r + 1, 2, 2),
+             new_monochromatic(r, 2, 2)]
+    g = blowup(new_monochromatic(3, 2, 1), parts)
+    p = SPattern(2 * r + 1, r)
+    w = find_mono_S(g, 1, p)
+    assert w is not None and w.center == 0 and w.validate(g, p)
+    assert brute_force_contains_S(g, 1, p)
+    assert w == find_mono_S_reference(table_copy(g), 1, p)
 
 
 def _hub_and_bipartite(r: int) -> ColoredCompleteGraph:
