@@ -7,21 +7,24 @@ Python integers used as bitsets, built lazily on first access and dropped by
 the edge setter, so they are always built from the table.
 
 A graph made by ``blowup`` over a template with at most 2 colors keeps its
-shape, the orders of its parts nested as the parts were built, until an edge of
-it is recolored, so every template node of a shape is a Gallai split.  Its rows
-are composed from the shape: a vertex's row is its leaf block's row shifted
-into place, ORed with the masks of the parts joined to its enclosing parts in
-that color, read from the graph's own table at the parts' first vertices.
-The same walk records the colors inside each part for ``patterns.find_mono_S``:
-a part with no c-edge inside is a module of c-twins, tested once and cut to r
-vertices in a neighborhood.  A table read from a file or passed in, and a leaf
-block, is transposed instead:
+shape until an edge of it is recolored, so every template node of a shape is
+a Gallai split.  ``blowup`` records the shape as it builds the graph: the
+orders of the parts, nested as the parts were built, each with the mask of
+the colors inside it.  Flattened once per graph into its template nodes in id
+order, that one record is read by three consumers.  The rows are composed
+from it: a vertex's row is its leaf block's row shifted into place, ORed with
+the masks of the parts joined to its enclosing parts in that color, read from
+the graph's own table at the parts' first vertices.  The Gallai tree of
+``gallai.find_rainbow_triangle`` starts at its leaf blocks with 3 or more
+colors inside.  ``patterns.find_mono_S`` tests a part with no c-edge inside
+once, as a module of c-twins, and cuts it to r vertices in a neighborhood.
+A graph with no shape is one leaf block with the colors of its table.  A
+table read from a file or passed in, and a leaf block, is transposed instead:
 64 vertex rows at a time are gathered into a byte block, each row padded to
 whole 8-byte lanes.  Per group of 8 colors one ``bytes.translate`` turns the
 block into one bit per color per byte, and an 8x8 bit transpose of every lane,
 run on the whole block as one integer, leaves each color's row bits in every
-8th byte, so no n x n matrix is ever held.  The same shape, walked as template
-nodes, is where the Gallai tree of ``gallai.find_rainbow_triangle`` starts.
+8th byte, so no n x n matrix is ever held.
 
 Every lower-bound coloring this package generates is a tower of blow-ups,
 each assembling the new table from slices of its parts' rows.  ``blowup``
@@ -84,11 +87,11 @@ MAX_ORDER = 10_000
 Order n costs n^2/2 bytes of colors plus n^2/8 bytes of rows per color: 50 MB
 plus 12.5 MB per color at 10,000, what a small machine can give one process.
 Past it a tower or a sample runs out of memory, or for hours, instead of
-failing.  The largest order CI builds is 8,812 (``build_G82(10)``); G62(10),
-with 6,406 vertices, fits too.  With its rows composed from its shape and its
-Gallai tree started there, and its S_t^r test run per template part,
-G82(10) is built and certified in about 0.35 s and 114 MB on a 2-core x86-64
-host (CPython 3.11).
+failing.  The largest orders CI builds are 8,812 (``build_G82(10)``) and
+6,406 (``build_G62(10)``).  With its rows composed from its shape, its Gallai
+tree seeded only where a leaf block holds 3 or more colors, and its S_t^r test
+run per template part, G82(10) is built and certified in about 0.2 s and
+114 MB on a 2-core x86-64 host (CPython 3.11).
 """
 
 
@@ -141,9 +144,8 @@ def _transposed_rows(n: int, k: int, colors: bytes | bytearray) -> dict[int, lis
     return rows
 
 
-def _composed_rows(n: int, k: int, colors: bytearray, nodes: list) -> tuple[dict, dict]:
-    """Rows of a blow-up whose table is ``colors``, from its template ``nodes``,
-    and the mask of the colors inside each part, by (first vertex, end).
+def _composed_rows(n: int, k: int, colors: bytearray, nodes: list) -> dict[int, list[int]]:
+    """Rows of a blow-up whose table is ``colors``, from its template ``nodes``.
 
     A vertex's row is its leaf block's row shifted to the block's first vertex,
     ORed with the masks its enclosing parts inherit in each color.  The color
@@ -155,39 +157,27 @@ def _composed_rows(n: int, k: int, colors: bytearray, nodes: list) -> tuple[dict
 
     rows = {c: [0] * n for c in range(1, k + 1)}
     table = memoryview(colors)
-    leaves: dict[bytes, tuple[dict[int, list[int]], int]] = {}  # rows and colors inside
+    leaves: dict[bytes, dict[int, list[int]]] = {}  # the rows of each distinct leaf slice
     inherited = {0: [0] * (k + 1)}  # mask per color of each pending node, by its first vertex
-    inside: dict[tuple[int, int], int] = {}
-    between = []  # the colors between the parts of each node
     for node in nodes:
         above = inherited.pop(node[0][0])
-        masks = [(1 << e) - (1 << b) for b, e, _ in node]
-        joins = 0
-        for a, e, is_leaf in node:
+        masks = [(1 << e) - (1 << b) for b, e, _, _ in node]
+        for a, e, is_leaf, _ in node:
             inh = above.copy()
-            for (b, _, _), mask in zip(node, masks):
+            for (b, _, _, _), mask in zip(node, masks):
                 if b != a:
-                    c = table[at(a, b) if a < b else at(b, a)]
-                    inh[c] |= mask
-                    joins |= 1 << c
+                    inh[table[at(a, b) if a < b else at(b, a)]] |= mask
             if not is_leaf:
                 inherited[a] = inh
-            else:
-                key = b"".join(table[at(u, u + 1) : at(u, e - 1) + 1] for u in range(a, e - 1))
-                leaf = leaves.get(key)
-                if leaf is None:
-                    leaf = leaves[key] = (_transposed_rows(e - a, k, key),
-                                          sum(1 << c for c in set(key)))
-                inside[a, e] = leaf[1]
-                for c in range(1, k + 1):
-                    h = inh[c]
-                    rows[c][a:e] = [r << a | h for r in leaf[0][c]]
-        between.append(joins)
-    for node, joins in zip(reversed(nodes), reversed(between)):  # parts before their nodes
-        for a, e, _ in node:
-            joins |= inside[a, e]
-        inside[node[0][0], node[-1][1]] = joins
-    return rows, inside
+                continue
+            key = b"".join(table[at(u, u + 1) : at(u, e - 1) + 1] for u in range(a, e - 1))
+            leaf = leaves.get(key)
+            if leaf is None:
+                leaf = leaves[key] = _transposed_rows(e - a, k, key)
+            for c in range(1, k + 1):
+                h = inh[c]
+                rows[c][a:e] = [r << a | h for r in leaf[c]]
+    return rows
 
 
 class ColoredCompleteGraph:
@@ -197,7 +187,7 @@ class ColoredCompleteGraph:
     this to reserve color ids they will introduce in later stages.
     """
 
-    __slots__ = ("n", "k", "_colors", "_rows", "_parts", "_shape")
+    __slots__ = ("n", "k", "_colors", "_rows", "_shape", "_flat")
 
     def __init__(self, n: int, k: int, colors: bytes | bytearray):
         table = bytearray(colors)
@@ -222,8 +212,8 @@ class ColoredCompleteGraph:
             raise ParameterError(f"color table has {len(table)} entries, expected {npairs}")
         self.n, self.k, self._colors = n, k, table
         self._rows: dict[int, list[int]] | None = None
-        self._parts: list[list[tuple[int, int, bool, int]]] = []  # set with the rows
         self._shape: tuple | None = None  # set by blowup while the table is its blow-up
+        self._flat: list | None = None  # the template nodes, flattened by _nodes
         return self
 
     # -- basic access ------------------------------------------------------
@@ -248,7 +238,7 @@ class ColoredCompleteGraph:
         i = self._index(u, v)
         if self._colors[i] != c:
             self._colors[i] = c
-            self._rows = self._shape = None
+            self._rows = self._shape = self._flat = None
 
     def row_bytes(self, u: int) -> memoryview:
         """Colors of edges {u, v} for v = u+1 .. n-1, as a read-only buffer."""
@@ -260,38 +250,34 @@ class ColoredCompleteGraph:
     # -- per-color adjacency bitsets ----------------------------------------
 
     def _build_rows(self) -> dict[int, list[int]]:
-        """The color rows; sets ``_parts``, the template nodes with each part as
-        (first vertex, end, leaf, mask with bit c for each color c inside it)."""
-        nodes = list(self._template_nodes())
+        """The color rows, composed from the shape when the graph holds one."""
         if self._shape is None:
-            rows = _transposed_rows(self.n, self.k, self._colors)
-            inside = {(0, self.n): sum(1 << c for c in rows if any(rows[c]))}
-        else:
-            rows, inside = _composed_rows(self.n, self.k, self._colors, nodes)
-        self._parts = [[(a, e, leaf, inside[a, e]) for a, e, leaf in node] for node in nodes]
-        return rows
+            return _transposed_rows(self.n, self.k, self._colors)
+        return _composed_rows(self.n, self.k, self._colors, self._nodes())
 
-    def _template_nodes(self) -> Iterator[list[tuple[int, int, bool]]]:
+    def _nodes(self) -> list[list[tuple[int, int, bool, int]]]:
         """The template nodes of the shape this graph holds, each before those in
-        its parts, so their first vertices never decrease.
+        its parts, so their first vertices never decrease; flattened once.
 
-        A node lists its parts as (first vertex, end, leaf), a leaf part being a
-        block with no shape of its own.  A graph with no shape is one node whose
-        one part is a leaf block of all its vertices.
+        A node lists its parts as (first vertex, end, leaf, mask with bit c for
+        each color c inside the part), a leaf part being a block with no shape
+        of its own.  A graph with no shape is one node whose one part is a leaf
+        block of all its vertices.
         """
-        stack = [((self.n,) if self._shape is None else self._shape, 0)]
-        while stack:
-            parts, o = stack.pop()
-            node, inner = [], []
-            for part in parts:
-                leaf = type(part) is int
-                m = part if leaf else part[1]
-                if not leaf:
-                    inner.append((part[0], o))
-                node.append((o, o + m, leaf))
-                o += m
-            stack += reversed(inner)
-            yield node
+        if self._flat is None:
+            top = self._shape or (0, 0, ((self.n, sum(1 << c for c in self.used_colors())),))
+            self._flat, stack = [], [(top[2], 0)]
+            while stack:
+                parts, o = stack.pop()
+                node, inner = [], []
+                for part in parts:
+                    if len(part) == 3:
+                        inner.append((part[2], o))
+                    node.append((o, o + part[0], len(part) == 2, part[1]))
+                    o += part[0]
+                stack += reversed(inner)
+                self._flat.append(node)
+        return self._flat
 
     def rows(self, c: int) -> list[int]:
         """All adjacency bitsets for color c, indexed by vertex; treat as read-only."""
@@ -335,8 +321,11 @@ def blowup(
     An edge between parts i and j takes the template's color of {i, j}, so each
     new row is a part's row followed by one run of a template color per later part.
     Over a template with at most 2 colors, which makes every such blow-up a
-    Gallai split, the result keeps the parts' orders as its shape, to compose
-    its color rows from; over any other template it holds no shape.
+    Gallai split, the result keeps a shape; over any other template it holds
+    none.  A shape is (order, mask of the colors inside, parts): a part is its
+    own shape, or (order, mask) for a leaf block with no shape, its mask read
+    off its small table, and the blow-up's mask is its template's colors ORed
+    with its parts' masks.
     """
     if len(parts) != template.n:
         raise ParameterError(f"template has {template.n} vertices, got {len(parts)} parts")
@@ -349,7 +338,8 @@ def blowup(
         raise ParameterError(f"template color {bad[0]} outside 1..{k}")
     n = sum(p.n for p in parts)
     check_order(n, k)  # before the table is assembled
-    buf = bytearray()
+    bit = (1).__lshift__  # bit(c) == 1 << c
+    buf, shape, mask = bytearray(), [], sum(map(bit, used))
     for i, part in enumerate(parts):
         tail = b"".join(bytes([c]) * q.n for c, q in zip(template.row_bytes(i), parts[i + 1 :]))
         table, a = memoryview(part._colors), 0
@@ -357,9 +347,11 @@ def blowup(
             buf += table[a : a + m]
             buf += tail
             a += m
+        shape.append(part._shape or (part.n, sum(map(bit, set(table)))))
+        mask |= shape[-1][1]
     g = ColoredCompleteGraph._owning(n, k, buf)
     if len(used) <= 2:
-        g._shape = tuple(p.n if p._shape is None else (p._shape, p.n) for p in parts)
+        g._shape = (n, mask, tuple(shape))
     return g
 
 

@@ -54,8 +54,10 @@ keeps a shape only over templates with at most 2 colors, so every template
 node is a Gallai split: a triangle across three parts sees at most 2
 colors, one with two vertices in a part repeats a color, and one inside a
 part lies in that part's subtree.  So only the leaf blocks need checking,
-and a sample, whose leaf blocks are single vertices, is certified without
-building any rows.
+and by the tree's own leaf rule only those with 3 or more colors inside: the
+shape records each block's colors, and a block is seeded with exactly those.
+A sample, whose leaf blocks are single vertices with no color inside, is
+certified without building any rows.
 
 A ``GallaiPartition`` holds its parts and its reduced graph, the plain
 colored graph on the parts, read at the parts' smallest vertices.  It is
@@ -245,23 +247,23 @@ def find_rainbow_triangle(g: ColoredCompleteGraph) -> Optional[RainbowTriangle]:
     whole graph then names the lexicographically first.
 
     A blow-up's tree starts from its shape, whose template nodes all use at
-    most 2 colors between their parts, so only its leaf blocks of 3 or more
-    vertices are sets of their own.  A graph with no shape is one leaf block,
-    so its tree starts from the whole vertex set.
+    most 2 colors between their parts, so only its leaf blocks with 3 or more
+    colors inside are sets of their own, each with the colors the shape
+    records for it.  A graph with no shape is one leaf block with the colors
+    of its table, so its tree starts from the whole vertex set.
     """
-    stack = [((1 << e) - (1 << a), range(1, g.k + 1)) for node in g._template_nodes()
-             for a, e, leaf in node if leaf and e - a > 2]
+    stack = [((1 << e) - (1 << a), list(iter_bits(inside))) for node in g._nodes()
+             for a, e, leaf, inside in node if leaf and inside.bit_count() > 2]
     while stack:
-        S, colors = stack.pop()
-        if S.bit_count() < 3:
-            continue
-        used = _colors_inside(g, S, colors)
-        if len(used) <= 2:
-            continue
+        S, used = stack.pop()
         parts = next(_splits(g, S, used), None)
         if parts is None:
             return scan_rainbow_triangle(g)
-        stack += [(part, used) for part in parts]
+        for part in parts:
+            if part.bit_count() > 2:  # fewer vertices hold at most 1 color
+                colors = _colors_inside(g, part, used)
+                if len(colors) > 2:
+                    stack.append((part, colors))
     return None
 
 

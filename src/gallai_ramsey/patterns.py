@@ -12,7 +12,8 @@ least t-1 c-neighbors and the c-subgraph induced on those neighbors has a
 matching of size r.  The reduction needs t-1 >= 2r (enforced by SPattern), so
 any r-matching inside the neighborhood leaves enough spare neighbors to serve
 as pendant leaves.  On a blow-up the detector tests template parts instead
-of vertices: a part with no c-edge inside is a module whose members are
+of vertices, reading the colors inside each part from the shape ``blowup``
+records: a part with no c-edge inside is a module whose members are
 c-twins with no c-edge among them, so one test serves all its members, and
 an r-matching meets it in at most r vertices, one per edge, any r of which
 serve, so a neighborhood keeps only r of them, its kernel, for the test.
@@ -360,7 +361,7 @@ def find_mono_S(
     failed: set[int] = set()
     best = n  # the first center found so far
     pending = {0: 0}  # the kernels a part to be entered inherits, by its first vertex
-    for node in g._parts:
+    for node in g._nodes():
         if node[0][0] >= best:
             break
         above = pending.pop(node[0][0], None)

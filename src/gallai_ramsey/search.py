@@ -403,10 +403,11 @@ def random_gallai_sampler(k: int, n_target: int, seed: int) -> ColoredCompleteGr
     """
     check_order(n_target, k)
     rng = random.Random(seed)
+    vertex = new_monochromatic(1, k, 1)  # every one-vertex part; blowup only reads its parts
 
     def build(size: int) -> ColoredCompleteGraph:
         if size == 1:
-            return new_monochromatic(1, k, 1)
+            return vertex
         m = rng.randint(2, min(5, size))
         if k >= 2:
             c1, c2 = rng.sample(range(1, k + 1), 2)

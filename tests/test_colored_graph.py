@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -739,13 +740,26 @@ def _colors_inside_reference(g, a, e):
     return sum(1 << c for c in inside)
 
 
+def _no_rows(self):
+    raise AssertionError("the shape record built colour rows")
+
+
 def _assert_part_colors_match_reference(g):
-    g.rows(1)
-    nodes = list(g._template_nodes())
-    assert [[part[:3] for part in node] for node in g._parts] == nodes
+    # the record is set by blowup, so flattening it must need no colour rows
+    with mock.patch.object(ColoredCompleteGraph, "_build_rows", _no_rows):
+        nodes = g._nodes()
+    assert g._nodes() is nodes  # flattened once per graph
     firsts = [node[0][0] for node in nodes]
     assert firsts == sorted(firsts)  # the detector stops at the first center found
-    for node in g._parts:
+    # the parts of each node tile its span, every part that is not a leaf is
+    # the span of one later node, and the leaf blocks tile the vertex set
+    spans = sorted((node[0][0], node[-1][1]) for node in nodes[1:])
+    assert (nodes[0][0][0], nodes[0][-1][1]) == (0, g.n)
+    assert spans == sorted((a, e) for node in nodes for a, e, leaf, _ in node if not leaf)
+    leaves = sorted((a, e) for node in nodes for a, e, leaf, _ in node if leaf)
+    assert [a for a, _ in leaves] + [g.n] == [0] + [e for _, e in leaves]
+    for node in nodes:
+        assert all(e == b for (_, e, _, _), (b, _, _, _) in zip(node, node[1:]))
         for a, e, _, inside in node:
             assert inside == _colors_inside_reference(g, a, e)
 
@@ -754,6 +768,11 @@ def _assert_part_colors_match_reference(g):
                          ids=[f"{b}-{k}" for b in ("g62", "g82") for k in range(2, 7)])
 def test_part_colors_match_reference_on_pinned_towers(build, k):
     _assert_part_colors_match_reference(build(k, verify=False).graph)
+
+
+@pytest.mark.parametrize("k, t", [(1, 4), (2, 5), (3, 7), (4, 6), (5, 9), (6, 4)])
+def test_part_colors_match_reference_on_general_towers(k, t):
+    _assert_part_colors_match_reference(build_general_lower(k, t, (1,), verify=False).graph)
 
 
 @pytest.mark.property_based
@@ -769,6 +788,21 @@ def test_part_colors_match_reference_on_random_blowups(kind, seed, k):
         if kind == "table":
             g = table_copy(g)  # no shape: one leaf block of all its vertices
     _assert_part_colors_match_reference(g)
+
+
+@pytest.mark.parametrize("build, k", [(b, k) for b in (build_G62, build_G82) for k in range(2, 6)],
+                         ids=[f"{b}-{k}" for b in ("g62", "g82") for k in range(2, 6)])
+def test_recolored_tower_is_one_leaf_block_of_its_table_colors(build, k):
+    g = build(k, verify=False).graph
+    g._nodes()
+    g.rows(1)
+    rng = random.Random(k)
+    for _ in range(3):
+        u, v = rng.sample(range(g.n), 2)
+        g.set_color(u, v, rng.randint(1, k))
+    g.set_color(0, g.n - 1, 1 + g.color(0, g.n - 1) % k)  # at least one edge changes
+    assert g._shape is None
+    assert g._nodes() == [[(0, g.n, True, _colors_inside_reference(g, 0, g.n))]]
 
 
 @pytest.mark.property_based

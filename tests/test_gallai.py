@@ -544,8 +544,8 @@ def test_sample_is_certified_without_rows(monkeypatch):
 
 def _template_colors(g):
     """Colors between the parts of each template node, read at their first vertices."""
-    return [{g.color(a, b) for (a, _, _), (b, _, _) in combinations(node, 2)}
-            for node in g._template_nodes()]
+    return [{g.color(a, b) for (a, _, _, _), (b, _, _, _) in combinations(node, 2)}
+            for node in g._nodes()]
 
 
 @pytest.mark.parametrize("m, template", [
@@ -558,12 +558,13 @@ def test_blowup_over_three_colors_holds_no_shape(m, template):
              join(new_monochromatic(1, 3, 2), new_monochromatic(2, 3, 3), 1)][:m]
     g = blowup(ColoredCompleteGraph(m, 3, template), parts)
     assert g._shape is None
-    assert list(g._template_nodes()) == [[(0, g.n, True)]]
+    assert [[part[:3] for part in node] for node in g._nodes()] == [[(0, g.n, True)]]
     assert g._build_rows() == build_rows_reference(g)
     assert find_rainbow_triangle(g) == scan_rainbow_triangle(g)
     # as a part of a 2-colored template it is one leaf block of the outer shape
     outer = join(g, new_monochromatic(2, 3, 3), 2)
-    assert list(outer._template_nodes()) == [[(0, g.n, True), (g.n, g.n + 2, True)]]
+    assert [[part[:3] for part in node] for node in outer._nodes()] == [
+        [(0, g.n, True), (g.n, g.n + 2, True)]]
     assert outer._build_rows() == build_rows_reference(outer)
     assert find_rainbow_triangle(outer) == scan_rainbow_triangle(outer)
 

@@ -304,6 +304,26 @@ def test_detector_matches_reference_on_random_blowups(kind, seed, k):
     _assert_detector_matches_reference_on_the_table(g, patterns)
 
 
+@pytest.mark.parametrize("build, t, k", [(b, t, k) for b, t in ((build_G62, 6), (build_G82, 8))
+                                         for k in range(2, 7)],
+                         ids=[f"{b}-{k}" for b in ("g62", "g82") for k in range(2, 7)])
+def test_detector_and_tree_match_references_on_recolored_towers(build, t, k):
+    # the shape is read first, so a recolour must drop it; the graph is then
+    # one leaf block, and both certifiers must agree with their references
+    g = build(k, verify=False).graph
+    for c in range(1, k + 1):
+        find_mono_S(g, c, SPattern(t, 2))
+    assert find_rainbow_triangle(g) is None
+    rng = random.Random(k)
+    for _ in range(4):
+        u, v = rng.sample(range(g.n), 2)
+        g.set_color(u, v, rng.randint(1, k))
+    g.set_color(0, 2, k)  # inside the first block: rainbow where that block is matched
+    g.set_color(0, g.n - 1, 1)  # between the first and the last top part
+    assert find_rainbow_triangle(g) == scan_rainbow_triangle(g)
+    _assert_detector_matches_reference_on_the_table(g, _patterns(t))
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_kernel_of_a_module_keeps_r_vertices(r):
     # a center joined in color 1 to Q (r + 1 vertices) and X (r vertices),
