@@ -7,11 +7,16 @@ that fails re-verification), 2 usage error, 3 search budget exceeded, 141
 stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 This module is the only one that renders results as text; the library
 returns data.
+
+``run`` may be called any number of times in one process.  The argument
+parser is built on the first call and reused by every later one; each call
+parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -69,6 +74,7 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+@functools.cache  # argparse keeps no per-parse state on the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gallai-ramsey", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
@@ -279,6 +285,9 @@ _DISPATCH = {
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and return
+    its exit code; ``--help`` prints its text and raises ``SystemExit(0)``.
+    Callable repeatedly in one process: the parser is built on the first call."""
     try:
         args = _build_parser().parse_args(argv)
         return _DISPATCH[args.cmd](args)

@@ -375,10 +375,12 @@ def blowup_pentagon(
     """
     if c1 == c2:
         raise ParameterError("template colors must differ")
-    pentagon = new_monochromatic(5, max(c1, c2), c2)
-    for i in range(5):
-        pentagon.set_color(i, (i + 1) % 5, c1)
-    return blowup(pentagon, parts)
+    k = max(c1, c2)
+    check_order(5, k)  # so only the smaller color can lie outside 1..k
+    if min(c1, c2) < 1:
+        raise ParameterError(f"color id {min(c1, c2)} outside 1..{k}")
+    cycle = bytes(c1 if j - i in (1, 4) else c2 for i in range(5) for j in range(i + 1, 5))
+    return blowup(ColoredCompleteGraph(5, k, cycle), parts)
 
 
 # -- serialization ------------------------------------------------------------

@@ -112,10 +112,13 @@ def matched_clique(order: int, matching_colors: Sequence[int], k: int) -> Colore
         raise ParameterError(
             f"need {order // 2} matching colors for order {order}, got {len(matching_colors)}"
         )
-    g = new_monochromatic(order, k, 1)
-    for i, c in enumerate(matching_colors):
-        g.set_color(2 * i, 2 * i + 1, c)
-    return g
+    check_order(order, k)  # before a table is sized by order
+    for c in matching_colors:
+        if not 1 <= c <= k:
+            raise ParameterError(f"color id {c} outside 1..{k}")
+    # row 2i is the color of (2i, 2i + 1) and then 1s, row 2i + 1 all 1s
+    return ColoredCompleteGraph(order, k, b"".join(
+        bytes([c]) + b"\x01" * (2 * order - 4 * i - 4) for i, c in enumerate(matching_colors)))
 
 
 _Swaps = dict[int, tuple[int, ...]]  # block index -> matching colors of its matched clique

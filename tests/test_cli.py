@@ -341,12 +341,90 @@ def test_order_cap_covers_every_documented_order():
         new_monochromatic(MAX_ORDER + 1, 2, 1)
 
 
+_USAGE_ERRORS = [
+    ["frobnicate"],
+    ["construct", "--family", "nope", "--k", "3"],
+    ["verify", "--in", "/nonexistent/path.txt", "--t", "3", "--r", "1"],
+    ["search", "--n", "5", "--t", "3", "--r", "7"],
+]
+
+
 def test_usage_errors(capsys):
-    assert run(["frobnicate"]) == 2
-    assert run(["construct", "--family", "nope", "--k", "3"]) == 2
-    assert run(["verify", "--in", "/nonexistent/path.txt", "--t", "3", "--r", "1"]) == 2
-    assert run(["search", "--n", "5", "--t", "3", "--r", "7"]) == 2
+    for argv in _USAGE_ERRORS:
+        assert run(argv) == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_on_the_first_run_only(monkeypatch, capsys):
+    built = []
+    init = gallai_ramsey.cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gallai_ramsey.cli._Parser, "__init__", counted)
+    gallai_ramsey.cli._build_parser.cache_clear()
+    per_run = []
+    for argv in (["bounds", "--k", "3", "--t", "6", "--r", "2"],
+                 ["construct", "--family", "g62", "--k", "3", "--no-verify"],
+                 ["search", "--n", "5", "--t", "3", "--r", "1"]):
+        before = len(built)
+        assert run(argv) == 0
+        per_run.append(len(built) - before)
+    assert per_run == [8, 0, 0]  # the top parser and its 7 subparsers, once
+    capsys.readouterr()
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    bad, s = tmp_path / "bad.txt", str(tmp_path / "s.txt")
+    bad.write_bytes(b"3 2\n1 \xff\n1\n")
+    general = ["construct", "--family", "general", "--k", "3", "--t", "7", "--r"]
+    argvs = [
+        *_USAGE_ERRORS,
+        ["partition", "--in", str(bad)],
+        [*general, ","],
+        [*general, "2,3"],
+        ["construct", "--family", "g62", "--k", "3", "--out", str(tmp_path / "g.txt")],
+        ["sample", "--k", "3", "--n", "30", "--seed", "5", "--out", s],
+        ["verify", "--in", s, "--t", "6", "--r", "2"],
+        ["partition", "--in", s],
+        ["reduce", "--in", s, "--out", str(tmp_path / "r.txt")],
+        ["bounds", "--k", "3", "--t", "7", "--r", "2"],
+        ["search", "--n", "6", "--t", "3", "--r", "1"],
+    ]
+
+    def answer(argv):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        return code, re.sub(r"(seconds=|elapsed: )[0-9.]+", r"\1T", out), err
+
+    def files():
+        return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+    gallai_ramsey.cli._build_parser.cache_clear()
+    shared = [answer(argv) for argv in argvs]
+    shared_files = files()
+    fresh = []
+    for argv in argvs:
+        gallai_ramsey.cli._build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert shared == fresh
+    assert files() == shared_files
+    assert [code for code, _, _ in shared] == [2, 2, 2, 2, 2, 2, 0, 0, 0, 1, 0, 0, 0, 0]
+
+
+def test_help_exits_0_with_its_usage_twice_in_a_row(capsys):
+    for cmd in [[], *([name] for name in gallai_ramsey.cli._DISPATCH)]:
+        answers = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run([*cmd, "--help"])
+            assert exc.value.code == 0
+            answers.append(capsys.readouterr())
+        assert answers[0] == answers[1]
+        assert answers[0].out.startswith(" ".join(["usage: gallai-ramsey", *cmd, "[-h]"]))
+        assert answers[0].err == ""
 
 
 def _run_quiet(argv: list[str]) -> int:

@@ -185,6 +185,11 @@ def test_blowup_pentagon_rejects_equal_template_colors():
         blowup_pentagon(parts, 2, 2)
     with pytest.raises(ParameterError):
         blowup_pentagon(parts[:4], 2, 3)
+    for c1, c2, message in ((2, 0, "color id 0 outside 1..2"), (-1, 3, "color id -1 outside 1..3"),
+                            (0, -1, "color count must be in 1..255, got 0"),
+                            (-1, 300, "color count must be in 1..255, got 300")):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            blowup_pentagon(parts, c1, c2)
 
 
 @pytest.mark.property_based

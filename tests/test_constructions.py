@@ -155,6 +155,11 @@ def test_matched_clique_layout():
         matched_clique(5, [2, 3], 3)
     with pytest.raises(ParameterError):
         matched_clique(6, [2, 3], 3)
+    for colors, bad in (([2, 9], 9), ([0, 4], 0), ([-1, 2], -1), ([2, 300], 300), ([9, 300], 9)):
+        with pytest.raises(ParameterError, match=f"^color id {bad} outside 1..3$"):
+            matched_clique(4, colors, 3)
+    with pytest.raises(ParameterError, match="^vertex count must be in 1..10000, got 20000$"):
+        matched_clique(20_000, [-5] * 10_000, 3)
 
 
 def test_general_lower_orders():
