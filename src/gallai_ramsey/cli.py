@@ -57,14 +57,17 @@ __all__ = ["run", "main"]
 _BROKEN_PIPE = 141
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """Ends ``run`` with exit code ``args[0]``, after printing ``args[1:]`` to stderr."""
 
 
 class _Parser(argparse.ArgumentParser):
-    # surface parse problems as exit code 2 instead of killing the process
+    # a parse problem returns 2 from run, and --help 0, instead of ending the process
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise _Exit(2, f"usage error: {message}")
+
+    def exit(self, status: int = 0, message: Optional[str] = None) -> None:  # type: ignore[override]
+        raise _Exit(status)  # only --help gets here, its text printed
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -152,9 +155,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     for flag in ("k", "t", "r"):
         given, read = getattr(args, flag) is not None, flag in _FAMILY_FLAGS[fam]
         if given and not read:
-            raise _UsageError(f"--{flag} is not used by --family {fam}")
+            raise _Exit(2, f"usage error: --{flag} is not used by --family {fam}")
         if read and not given and flag != "r":
-            raise _UsageError(f"--{flag} is required for this subcommand")
+            raise _Exit(2, f"usage error: --{flag} is required for this subcommand")
     if fam == "two-clique":
         rep = two_clique_witness(args.t, verify=verify)
     elif fam == "g62":
@@ -170,10 +173,18 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check(ok: bool) -> None:
+    """Print no witness that fails re-verification: exit 1 instead."""
+    if not ok:
+        raise _Exit(1, "witness failed re-verification")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = read_graph(args.infile)
     p = SPattern(args.t, args.r)
     rep = verify_construction(g, p)
+    _check((rep.rainbow is None or rep.rainbow.validate(g))
+           and all(w.color == c and w.validate(g, p) for c, w in rep.mono_witnesses.items()))
     print(f"ok={'true' if rep.ok else 'false'} n={g.n} k={g.k} t={p.t} r={p.r}")
     print(f"rainbow: {'none' if rep.rainbow is None else rep.rainbow.vertices}")
     for c, w in sorted(rep.mono_witnesses.items()):
@@ -194,6 +205,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     g = read_graph(args.infile)
     result = find_gallai_partition(g)
     if not isinstance(result, GallaiPartition):
+        _check(result.validate(g))
         print(_rainbow_line(result))
         return 1
     try:
@@ -254,9 +266,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
           f"nodes={out.nodes_explored} seconds={out.elapsed:.2f}")
     if out.status == WITNESS_FOUND:
         assert out.witness is not None
-        if not _witness_reverifies(out.witness, p):
-            print("witness failed re-verification", file=sys.stderr)
-            return 1
+        _check(_witness_reverifies(out.witness, p))
         print("witness re-verified pattern-free in both colors")
         _maybe_write(out.witness, args.out)
     return 3 if out.status == BUDGET_EXCEEDED else 0
@@ -266,6 +276,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     g = random_gallai_sampler(args.k, args.n, args.seed)
     tri = find_rainbow_triangle(g)
     if tri is not None:  # sampler contract violation; should be unreachable
+        _check(tri.validate(g))
         print(_rainbow_line(tri))
         return 1
     print(f"sample n={g.n} k={g.k} seed={args.seed} rainbow=none")
@@ -286,14 +297,15 @@ _DISPATCH = {
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and return
-    its exit code; ``--help`` prints its text and raises ``SystemExit(0)``.
-    Callable repeatedly in one process: the parser is built on the first call."""
+    its exit code; ``--help`` prints its text and returns 0.  Callable
+    repeatedly in one process: the parser is built on the first call."""
     try:
         args = _build_parser().parse_args(argv)
         return _DISPATCH[args.cmd](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    except _Exit as exc:
+        for line in exc.args[1:]:
+            print(line, file=sys.stderr)
+        return exc.args[0]
     except BrokenPipeError:  # no one is left to read an error line
         return _BROKEN_PIPE
     except (ParameterError, GraphParseError, OSError) as exc:

@@ -34,13 +34,14 @@ and the file reader, hand the table they build to the graph uncopied and
 unscanned, as every color in it is already checked; the public constructor
 copies and range-checks the table it is given.
 
-A graph file holds one row of colors per line.  For k <= 9 every color is
-one digit, so rows are written, and read back in one binary pass, in blocks
-of whole rows: digits on the even bytes and separators on the odd bytes,
-each checked and translated with a few byte operations per block.  Any other
-file, valid or not, is read again in text mode: each row is looked up by the
-spellings ``write_graph`` gives colors, and a row that is not spelled so is
-parsed field by field, which also words every error.
+A graph file holds one row of colors per line, each value in one spelling:
+the one ``write_graph`` writes, which is all ``read_graph`` accepts.  For
+k <= 9 every color is one digit, so rows are written, and read back in one
+binary pass, in blocks of whole rows: digits on the even bytes and separators
+on the odd bytes, each checked and translated with a few byte operations per
+block.  Any other file, valid or not, is read again through the same binary
+handle: each row is looked up by the spellings of the colors, and a row that
+misses is scanned field by field only to word its error.
 """
 
 from __future__ import annotations
@@ -74,12 +75,11 @@ _ROW_BLOCK = 64  # vertex rows gathered per byte block while building bitsets
 # shift and lane mask of the three swap rounds of an 8x8 bit-matrix transpose
 # (Warren, Hacker's Delight, 7-3): bit 8i + j of a 64-bit lane goes to 8j + i
 _TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-_ASCII = bytes(range(128))
 _SCAN = 1 << 13  # table bytes range-checked per translate, so no table is held twice
 # for k <= 9 a color is one digit: this maps color c to b"c" in a file
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-_FILE_BLOCK = 1 << 15  # file bytes of whole one-digit rows read or written at a time
-_HEAD_PEEK = 64  # header bytes read first: a canonical header, or a large order to refuse
+_FILE_BLOCK = 1 << 15  # file bytes read or written at a time
+_PLAIN = bytes(range(128)).replace(b"\r", b"")  # the bytes a graph file may hold
 
 MAX_ORDER = 10_000
 """Most vertices a graph may have.
@@ -427,22 +427,10 @@ def write_graph(g: ColoredCompleteGraph, path: str) -> None:
             a += m
 
 
-def _read_blocks(fh: BinaryIO) -> ColoredCompleteGraph | None:
-    """The graph of a canonical file with k <= 9, read in row-aligned blocks, or None.
-
-    Canonical means a header ``n k`` spelled as ``write_graph`` spells it, a
-    size of exactly that header plus n (n - 1) bytes, digits in ``1..k`` on the
-    even bytes of the body and its separators on the odd ones.  Any other file
-    gives None, unread past the block that deviates.
-    """
-    head = fh.readline(_HEAD_PEEK)
-    try:
-        n, k = map(int, head.split(b" "))
-    except ValueError:
-        return None
-    if not (1 <= k <= 9 and 1 <= n <= MAX_ORDER and head == b"%d %d\n" % (n, k)
-            and os.fstat(fh.fileno()).st_size == len(head) + n * (n - 1)):
-        return None
+def _read_blocks(fh: BinaryIO, n: int, k: int) -> ColoredCompleteGraph | None:
+    """The graph of an order-n body read in row-aligned blocks, or None unless it
+    holds digits in ``1..k`` on its even bytes and ``write_graph``'s separators
+    on its odd ones; a body that deviates is left unread past that block."""
     ids = bytearray(256)  # b"1".."k" -> 1..k, every other byte -> 0
     ids[49 : 49 + k] = range(1, k + 1)
     buf = bytearray(n * (n - 1) // 2)
@@ -456,88 +444,85 @@ def _read_blocks(fh: BinaryIO) -> ColoredCompleteGraph | None:
 
 
 def read_graph(path: str) -> ColoredCompleteGraph:
-    """Read a graph file.
+    """Read a graph file; only what ``write_graph`` writes is accepted.
 
     Format: line 1 is ``n k``; line i+1 (for i = 1..n-1) holds the colors of
-    edges {i-1, j} for j = i..n-1, space-separated.  A trailing newline is
-    required.  Malformed input raises ``GraphParseError`` naming the line.
+    edges {i-1, j} for j = i..n-1, separated by single spaces.  Numbers are
+    spelled in decimal with no sign, leading zero or underscore, and every
+    line ends in a bare newline.  Malformed input raises ``GraphParseError``
+    naming the line.
 
-    A canonical file with k <= 9, as ``write_graph`` writes it, is read in one
-    binary pass of row-aligned blocks.  Any other file is read again from the
-    top, in text mode: a header whose order is above ``MAX_ORDER`` is refused
-    first; otherwise a first pass counts the lines, so the whole text is never
-    held at once, and a second one parses each row.  A row of canonical
-    spellings is looked up at once; any other row is parsed field by field,
-    which also accepts fields such as ``01`` and words every error.
+    Line 1 is read once, in binary like the rest.  It refuses an order above
+    ``MAX_ORDER`` at once, and for k <= 9 it sends a file of the canonical
+    size to the block reader.  Any other file has its lines counted, a block
+    at a time, up to its first non-ASCII or CR byte; then each row is looked
+    up by its spellings, and a row that misses is scanned only to name its fault.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        g = _read_blocks(fh.buffer)
-        if g is not None:
-            return g
-        fh.seek(0)
-        first = fh.buffer.readline(_HEAD_PEEK).splitlines(keepends=True)[:1]
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        header = head.split(b" ", 2)
         try:
-            order, _ = map(int, first[0].decode("ascii").rstrip("\r\n").split(" "))
-        except (IndexError, ValueError):
-            order = 0
-        if order > MAX_ORDER and first[0][-1] in b"\r\n":  # a whole line 1 within the peek
+            n, k = map(int, header)
+        except ValueError:  # not two fields, or one that is not an integer
+            n = k = None
+        spelled = n is not None and head == b"%d %d\n" % (n, k)
+        if spelled and n > MAX_ORDER:
             raise GraphParseError(f"line 1: vertex count above {MAX_ORDER} is not supported, "
-                                  f"got {order}")
+                                  f"got {n}")
+        if (spelled and n >= 1 and 1 <= k <= 9
+                and os.fstat(fh.fileno()).st_size == len(head) + n * (n - 1)):
+            g = _read_blocks(fh, n, k)
+            if g is not None:
+                return g
         fh.seek(0)
-        nlines, last = 0, ""
-        try:
-            for last in fh:
-                nlines += 1
-        except UnicodeDecodeError:
-            # name the first non-ASCII byte by its offset in the whole file,
-            # not in the decoded chunk that failed
-            fh.seek(0)
-            data = fh.buffer.read()
-            at = len(data) - len(data.lstrip(_ASCII))
-            line = data.count(b"\n", 0, at) + 1
-            raise GraphParseError(f"line {line}: non-ASCII byte at file offset {at}") from None
-        if not last.endswith("\n"):
+        nlines, size, last = 0, 0, b""
+        while chunk := fh.read(_FILE_BLOCK):
+            if b"\r" in chunk or not chunk.isascii():
+                at = len(chunk) - len(chunk.lstrip(_PLAIN))
+                line = nlines + chunk.count(b"\n", 0, at) + 1
+                what = "carriage return" if chunk[at] == 13 else "non-ASCII byte"
+                raise GraphParseError(f"line {line}: {what} at file offset {size + at}")
+            nlines += chunk.count(b"\n")
+            size += len(chunk)
+            last = chunk[-1:]
+        if last != b"\n":
             raise GraphParseError("line 1: missing trailing newline at end of file")
-        fh.seek(0)
-        head = fh.readline()[:-1]
-        header = head.split(" ")
+        text = head[:-1].decode("ascii")
         if len(header) != 2:
-            raise GraphParseError(f"line 1: expected 'n k', got {head!r}")
-        try:
-            n, k = int(header[0]), int(header[1])
-        except ValueError:
-            raise GraphParseError(f"line 1: expected two integers, got {head!r}") from None
+            raise GraphParseError(f"line 1: expected 'n k', got {text!r}")
+        if n is None:
+            raise GraphParseError(f"line 1: expected two integers, got {text!r}")
+        if not spelled:
+            raise GraphParseError(f"line 1: expected '{n} {k}', got {text!r}")
         if n < 1 or k < 1:
             raise GraphParseError(f"line 1: n and k must be positive, got {n} {k}")
         if k > 255:
             raise GraphParseError(f"line 1: color count above 255 is not supported, got {k}")
         if nlines != n:
-            raise GraphParseError(
-                f"line {nlines + 1}: expected {n} lines total, got {nlines}"
-            )
-        check_order(n, k)  # a line 1 longer than the peek, before the table is allocated
+            raise GraphParseError(f"line {nlines + 1}: expected {n} lines total, got {nlines}")
+        fh.seek(len(head))
         buf = bytearray(n * (n - 1) // 2)
-        spell = {str(c): c for c in range(1, k + 1)}
+        spell = {b"%d" % c: c for c in range(1, k + 1)}
         for u, line in enumerate(fh):
             expected, pos = n - u - 1, u * (2 * n - u - 1) // 2
             # counted before any copy is made, so an over-long row costs no more than itself
-            nfields = line.count(" ") + 1
+            nfields = line.count(b" ") + 1
             if nfields != expected:
                 raise GraphParseError(f"line {u + 2}: expected {expected} colors, got {nfields}")
-            fields = line[:-1].split(" ")
+            fields = line[:-1].split(b" ")
             try:
                 buf[pos : pos + expected] = bytes(map(spell.__getitem__, fields))
                 continue
             except KeyError:  # a field not spelled as write_graph spells a color in 1..k
                 pass
-            row = []
-            for f in fields:
+            for f in fields:  # names the row's first fault, and builds nothing
                 try:
                     c = int(f)
                 except ValueError:
-                    raise GraphParseError(f"line {u + 2}: bad color {f!r}") from None
+                    raise GraphParseError(f"line {u + 2}: bad color {f.decode()!r}") from None
                 if not 1 <= c <= k:
                     raise GraphParseError(f"line {u + 2}: color id {c} outside 1..{k}")
-                row.append(c)
-            buf[pos : pos + expected] = bytes(row)
+                if f != b"%d" % c:
+                    raise GraphParseError(f"line {u + 2}: color {f.decode()!r} is not "
+                                          f"spelled as '{c}'")
     return ColoredCompleteGraph._owning(n, k, buf)

@@ -464,9 +464,11 @@ def read_graph_reference(path: str) -> ColoredCompleteGraph:
     """The per-field graph-file reader that ``read_graph`` must agree with.
 
     Kept unchanged as the reference for its block and lookup paths: every
-    file gives the same graph or the same exception type and message, except a
-    header with an order above ``MAX_ORDER``, which ``read_graph`` refuses
-    at line 1 before reading the rest.
+    file gives the same graph or the same exception type and message, except
+    where ``read_graph`` refuses by name what this reader lets through: a
+    header with an order above ``MAX_ORDER``, refused at line 1 before the
+    rest is read; a CR byte; and a number not spelled as ``write_graph``
+    spells it.
 
     Format: line 1 is ``n k``; line i+1 (for i = 1..n-1) holds the colors of
     edges {i-1, j} for j = i..n-1, space-separated.  A trailing newline is

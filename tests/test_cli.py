@@ -1,5 +1,6 @@
 """Tests for the command-line frontend."""
 
+import dataclasses
 import io
 import math
 import os
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import gallai_ramsey.cli
+import gallai_ramsey.search
 from gallai_ramsey.cli import run
 from gallai_ramsey.colored_graph import (
     MAX_ORDER,
@@ -28,6 +30,7 @@ from gallai_ramsey.colored_graph import (
 )
 from gallai_ramsey.constructions import build_G62, build_G82
 from gallai_ramsey.gallai import GallaiPartition
+from gallai_ramsey.patterns import RainbowTriangle
 from helpers import faulty_graph_file, table_copy
 
 
@@ -170,6 +173,44 @@ def test_partition_rainbow_exit(tmp_path, capsys):
     assert _first_line(capsys) == "rainbow=0,1,2 colors=1,2,3"
     assert run(["reduce", "--in", path]) == 1
     assert capsys.readouterr().out == "rainbow=0,1,2 colors=1,2,3\n"
+
+
+def _wrong_center(find):
+    def find_wrong(g, c, p):
+        w = find(g, c, p)
+        return w and dataclasses.replace(w, center=w.triangle_edges[0][0])
+    return find_wrong
+
+
+def _not_rainbow(find):
+    return lambda g: RainbowTriangle((0, 1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, fake",
+    [
+        pytest.param(["verify", "--t", "3", "--r", "1"], gallai_ramsey.search, "find_mono_S",
+                     _wrong_center, id="verify-center"),
+        pytest.param(["verify", "--t", "3", "--r", "1"], gallai_ramsey.search,
+                     "find_rainbow_triangle", _not_rainbow, id="verify-triangle"),
+        pytest.param(["partition"], gallai_ramsey.cli, "find_gallai_partition", _not_rainbow,
+                     id="partition"),
+        pytest.param(["reduce"], gallai_ramsey.cli, "find_gallai_partition", _not_rainbow,
+                     id="reduce"),
+        pytest.param(["sample", "--k", "2", "--n", "6"], gallai_ramsey.cli,
+                     "find_rainbow_triangle", _not_rainbow, id="sample"),
+    ],
+)
+def test_a_witness_that_fails_re_verification_is_not_printed(
+    argv, module, name, fake, tmp_path, capsys, monkeypatch
+):
+    # a detector that names a wrong center, or a triangle that is not rainbow
+    path = str(tmp_path / "mono.txt")
+    write_graph(new_monochromatic(6, 2, 1), path)
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    cmd, *rest = argv
+    assert run([cmd, *([] if cmd == "sample" else ["--in", path]), *rest]) == 1
+    assert capsys.readouterr() == ("", "witness failed re-verification\n")
 
 
 def test_partition_report(tmp_path, capsys):
@@ -418,9 +459,7 @@ def test_help_exits_0_with_its_usage_twice_in_a_row(capsys):
     for cmd in [[], *([name] for name in gallai_ramsey.cli._DISPATCH)]:
         answers = []
         for _ in range(2):
-            with pytest.raises(SystemExit) as exc:
-                run([*cmd, "--help"])
-            assert exc.value.code == 0
+            assert run([*cmd, "--help"]) == 0
             answers.append(capsys.readouterr())
         assert answers[0] == answers[1]
         assert answers[0].out.startswith(" ".join(["usage: gallai-ramsey", *cmd, "[-h]"]))

@@ -316,27 +316,71 @@ def _read_outcome(read, path):
         return type(exc), str(exc)
 
 
+def _first_misspelling(data):
+    """(offset, length, line, error) of the first number in a file that ``int()``
+    reads but that is not spelled as ``write_graph`` spells it: a header that is
+    not ``n k``, or a color in 1..k; None if there is none."""
+    head, _, body = data.partition(b"\n")
+    try:
+        n, k = map(int, head.split(b" "))
+    except ValueError:
+        return None
+    if head != b"%d %d" % (n, k):
+        return 0, len(head), 1, f"line 1: expected '{n} {k}', got {head.decode()!r}"
+    at = len(head) + 1
+    for i, line in enumerate(body.split(b"\n")):
+        for f in line.split(b" "):
+            try:
+                c = int(f)
+            except ValueError:
+                c = 0
+            if 1 <= c <= k and f != b"%d" % c:
+                error = f"line {i + 2}: color {f.decode()!r} is not spelled as '{c}'"
+                return at, len(f), i + 2, error
+            at += len(f) + 1
+    return None
+
+
 def _assert_reads_like_reference(data, path):
+    """``read_graph`` gives the reference's graph or error on ``data``, but for
+    the faults the reference lets through: a header "n k" with n above the cap,
+    refused at line 1 whatever else the file holds; a CR byte, refused at its
+    offset unless a non-ASCII byte comes first; and a number not spelled as
+    ``write_graph`` spells it, refused unless the reference stops first."""
     with open(path, "wb") as fh:
         fh.write(data)
     got, want = _read_outcome(read_graph, path), _read_outcome(read_graph_reference, path)
-    # the one intended difference: a header "n k" with n above the cap is
-    # refused at line 1, whatever else the file holds
-    head = re.match(rb"([^\r\n]*)[\r\n]", data)
     try:
-        order, _ = map(int, head.group(1).decode("ascii").split(" "))
-    except (AttributeError, ValueError):
+        n, k = map(int, data[: data.index(b"\n")].split(b" "))
+        order = n if data.startswith(b"%d %d\n" % (n, k)) else 0
+    except ValueError:
         order = 0
+    bad = re.search(rb"[\r\x80-\xff]", data)
+    fault = _first_misspelling(data)
     if order > MAX_ORDER:
         want = (GraphParseError,
                 f"line 1: vertex count above {MAX_ORDER} is not supported, got {order}")
+    elif bad and bad.group() == b"\r":
+        line = data.count(b"\n", 0, bad.start()) + 1
+        want = (GraphParseError, f"line {line}: carriage return at file offset {bad.start()}")
+    elif fault:
+        # the misspelled number overwritten by as many "~": a bad field or
+        # header at the same place, which the reference names unless it stops first
+        at, size, line, error = fault
+        with open(path, "wb") as fh:
+            fh.write(data[:at] + b"~" * size + data[at + size :])
+        want = _read_outcome(read_graph_reference, path)
+        tildes = "~" * size
+        if want in [(GraphParseError, f"line 1: expected 'n k', got {tildes!r}"),
+                    (GraphParseError, f"line {line}: bad color {tildes!r}")]:
+            want = (GraphParseError, error)
     assert got == want
 
 
 @pytest.mark.parametrize(
     "data",
     [
-        b"3 2\n01 2\n1\n",  # valid but not one digit a field
+        b"3 2\n01 2\n1\n",  # a leading zero, refused
         b"3 2\n+1 2\n1\n",
         b"3 2\n1  2\n1\n",  # two spaces
         b"3 2\n1 2 \n1\n",
@@ -346,7 +390,7 @@ def _assert_reads_like_reference(data, path):
         b"3 8\n9 1\n1\n",
         b"3 12\n10 12\n13\n",
         b"3 12\n1 2\n9\n",  # one-digit rows under k >= 10
-        b"4 12\n01 +1 12\n11 10\n9\n",  # valid multi-digit rows through the per-field loop
+        b"4 12\n01 +1 12\n11 10\n9\n",  # refused at its first field
         b"3 255\n255 100\n7\n",
         b"4 12\n12 1 x\n1 2\n3\n",  # a bad field after valid multi-digit ones
         b"3 2\r\n1 2\r1\r\n",
@@ -364,6 +408,60 @@ def test_reader_matches_reference_on_edge_rows(data, tmp_path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_reader_matches_reference_reader(seed, tmp_path):
     _assert_reads_like_reference(faulty_graph_file(random.Random(seed)), str(tmp_path / "g.txt"))
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"3 2\n01 2\n1\n", "line 2: color '01' is not spelled as '1'"),
+        (b"3 2\n1 +1\n1\n", "line 2: color '+1' is not spelled as '1'"),
+        (b"3 12\n1 1_0\n3\n", "line 2: color '1_0' is not spelled as '10'"),
+        (b"03 2\n1 2\n1\n", "line 1: expected '3 2', got '03 2'"),
+        (b"3 3\r\n1 2\r\n3\r\n", "line 1: carriage return at file offset 3"),
+        (b"3 3\n1 2\r3\r", "line 2: carriage return at file offset 7"),
+    ],
+)
+def test_numbers_and_line_ends_not_written_by_write_graph_are_refused(data, error, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    with pytest.raises(GraphParseError, match=f"^{re.escape(error)}$"):
+        read_graph(str(path))
+
+
+@st.composite
+def _coloring_files(draw):
+    """The file of a random coloring with k in 1..255, as ``write_graph`` writes
+    it, or with one number respelled (a value ``int()`` still reads) or every
+    newline replaced."""
+    k, n = draw(st.integers(1, 255)), draw(st.integers(1, 8))
+    g = ColoredCompleteGraph(n, k, bytes(draw(st.lists(
+        st.integers(1, k), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+    data = b"%d %d\n" % (n, k) + b"".join(
+        b" ".join(b"%d" % c for c in g.row_bytes(u)) + b"\n" for u in range(n - 1))
+    numbers = list(re.finditer(rb"[0-9]+", data))
+    number = numbers[draw(st.integers(0, len(numbers) - 1))]
+    d = number.group()
+    spelled = draw(st.sampled_from((d, b"0" + d, b"+" + d, b"\t" + d, d[:1] + b"_" + d[1:])))
+    data = data[: number.start()] + spelled + data[number.end() :]
+    return data.replace(b"\n", draw(st.sampled_from((b"\n", b"\r\n", b"\r"))))
+
+
+@pytest.mark.property_based
+@given(data=st.integers(0, 10**9).map(lambda seed: faulty_graph_file(random.Random(seed)))
+       | _coloring_files())
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_file_read_is_written_back_byte_for_byte(data, tmp_path):
+    path = str(tmp_path / "g.txt")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        g = read_graph(path)
+    except GraphParseError:
+        return
+    write_graph(g, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == data
 
 
 def test_file_io_holds_a_few_blocks_at_a_time(tmp_path):
@@ -414,9 +512,9 @@ def _byte_faults(body, at, k):
 
 @pytest.mark.parametrize("k", [3, 9])
 def test_block_reader_matches_reference_on_faults_at_block_edges(k, tmp_path):
-    # n = 400 spans several blocks; each file reads as the reference reads it:
-    # the same graph (a CR line end, accepted through the text path), or the
-    # same exception type and message
+    # n = 400 spans several blocks; each file reads as the reference reads it,
+    # to the same graph or the same exception type and message, but a CR,
+    # which is refused at its offset
     n, path = 400, str(tmp_path / "g.txt")
     write_graph_reference(random_graph(random.Random(k), n, k), path)
     with open(path, "rb") as fh:
@@ -445,7 +543,7 @@ def test_block_reader_matches_reference_on_faults_at_block_edges(k, tmp_path):
         b"1 3\r\n",
         b"1 3\n1\n",
         b"01 3\n",
-        b"2\r 3\n2\n",  # int() takes "2\r", but the CR ends line 1
+        b"2\r 3\n2\n",  # int() takes "2\r", but the CR is refused
         b"2 3\n2\n",
         b"2 3\n2",
         b"2 3\n2\r",
@@ -831,8 +929,6 @@ def test_tables_kept_unscanned_hold_only_colors_in_range(kind, seed, k, tmp_path
     elif kind == "file":
         path = tmp_path / "g.txt"
         write_graph(g, str(path))
-        if rng.random() < 0.5:  # spell colors with a leading zero: the per-field reader
-            path.write_bytes(re.sub(rb"(?<![0-9])([0-9])", rb"0\1", path.read_bytes()))
         g = read_graph(str(path))
     elif kind == "reduced":
         partition = find_gallai_partition(g)
