@@ -22,6 +22,7 @@ from .colored_graph import ParameterError, check_order
 
 __all__ = [
     "BoundValue",
+    "tower_blocks",
     "ramsey_Str",
     "gr_S62",
     "gr_S82",
@@ -45,6 +46,12 @@ class BoundValue:
             raise ParameterError(f"unknown bound kind {self.kind!r}")
         if not isinstance(self.value, int) or self.value < 1:
             raise ParameterError("bound value must be a positive integer")
+
+
+def tower_blocks(k: int) -> int:
+    """Blocks K_{t-1} in the k-level tower of the general lower bound, k >= 1:
+    one block, or at even k a join of two, blown up 5-fold per pentagon level."""
+    return 5 ** ((k - 1) // 2) * (2 - k % 2)
 
 
 def ramsey_Str(t: int, r: int) -> BoundValue:
@@ -104,12 +111,8 @@ def gr_St2_bounds(k: int, t: int) -> tuple[BoundValue, BoundValue]:
         raise ParameterError("S_t^2 needs t >= 5")
     check_order(t, k)
     valid = t >= 6
-    if k % 2 == 0:
-        e = 5 ** ((k - 2) // 2)
-        lo, hi = 2 * (t - 1) * e + 1, 2 * t * e
-    else:
-        e = 5 ** ((k - 1) // 2)
-        lo, hi = (t - 1) * e + 1, t * e
+    m = tower_blocks(k)
+    lo, hi = (t - 1) * m + 1, t * m
     return (BoundValue("lower", lo, valid, "st2-lower-formula"),
             BoundValue("upper", hi, valid, "st2-upper-formula"))
 
@@ -125,14 +128,8 @@ def gr_Str_bounds(k: int, t: int, r: int) -> tuple[BoundValue, BoundValue]:
         raise ParameterError(f"no S_{t}^{r} pattern: need 1 <= r <= (t-1)/2")
     check_order(t, k)
     valid = t >= 6 * r - 5
-    if k % 2 == 0:
-        e = 5 ** ((k - 2) // 2)
-        lo = 2 * (t - 1) * e + 1
-        hi = (2 * t + 8 * (r - 1)) * e - 4 * (r - 1)
-    else:
-        e = 5 ** ((k - 1) // 2)
-        lo = (t - 1) * e + 1
-        hi = (t + 4 * (r - 1)) * e - 4 * (r - 1)
+    m = tower_blocks(k)
+    lo, hi = (t - 1) * m + 1, (t + 4 * (r - 1)) * m - 4 * (r - 1)
     caveat = None
     if k == 2 and r >= 2:
         exact = ramsey_Str(t, r)

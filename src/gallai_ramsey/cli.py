@@ -45,7 +45,6 @@ from .gallai import (
 from .patterns import SPattern, brute_force_contains_S
 from .search import (
     BUDGET_EXCEEDED,
-    WITNESS_FOUND,
     SearchBudget,
     exhaustive_witness_search,
     random_gallai_sampler,
@@ -262,11 +261,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     p = SPattern(args.t, args.r)
     budget = SearchBudget(max_nodes=args.budget_nodes, max_time=args.budget_seconds)
     out = exhaustive_witness_search(args.n, p, budget)
+    _check(out.witness is None or _witness_reverifies(out.witness, p))
     print(f"status={out.status} n={args.n} t={p.t} r={p.r} "
           f"nodes={out.nodes_explored} seconds={out.elapsed:.2f}")
-    if out.status == WITNESS_FOUND:
-        assert out.witness is not None
-        _check(_witness_reverifies(out.witness, p))
+    if out.witness is not None:
         print("witness re-verified pattern-free in both colors")
         _maybe_write(out.witness, args.out)
     return 3 if out.status == BUDGET_EXCEEDED else 0

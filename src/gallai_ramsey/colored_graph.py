@@ -29,10 +29,10 @@ run on the whole block as one integer, leaves each color's row bits in every
 Every lower-bound coloring this package generates is a tower of blow-ups,
 each assembling the new table from slices of its parts' rows.  ``blowup``
 replaces each template vertex by a part: ``join`` and ``blowup_pentagon``
-only build a 2- or 5-vertex template, and the sampler draws its own.  It,
-and the file reader, hand the table they build to the graph uncopied and
-unscanned, as every color in it is already checked; the public constructor
-copies and range-checks the table it is given.
+only build a 2- or 5-vertex template, and the sampler draws its own.  A table
+built inside the package is owned: its builder checks its colors, or builds
+them valid, and hands it to the graph uncopied and unscanned.  A table from
+outside the package is copied and range-checked by the public constructor.
 
 A graph file holds one row of colors per line, each value in one spelling:
 the one ``write_graph`` writes, which is all ``read_graph`` accepts.  For
@@ -80,6 +80,7 @@ _SCAN = 1 << 13  # table bytes range-checked per translate, so no table is held 
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _FILE_BLOCK = 1 << 15  # file bytes read or written at a time
 _PLAIN = bytes(range(128)).replace(b"\r", b"")  # the bytes a graph file may hold
+_QUOTE = 40  # characters of a line or a field that a parse error quotes
 
 MAX_ORDER = 10_000
 """Most vertices a graph may have.
@@ -88,10 +89,8 @@ Order n costs n^2/2 bytes of colors plus n^2/8 bytes of rows per color: 50 MB
 plus 12.5 MB per color at 10,000, what a small machine can give one process.
 Past it a tower or a sample runs out of memory, or for hours, instead of
 failing.  The largest orders CI builds are 8,812 (``build_G82(10)``) and
-6,406 (``build_G62(10)``).  With its rows composed from its shape, its Gallai
-tree seeded only where a leaf block holds 3 or more colors, and its S_t^r test
-run per template part, G82(10) is built and certified in about 0.2 s and
-114 MB on a 2-core x86-64 host (CPython 3.11).
+6,406 (``build_G62(10)``).  G82(10) is built and certified in about 0.13 s,
+at a peak RSS of 114 MB, on a 2-core x86-64 host (CPython 3.11).
 """
 
 
@@ -190,6 +189,7 @@ class ColoredCompleteGraph:
     __slots__ = ("n", "k", "_colors", "_rows", "_shape", "_flat")
 
     def __init__(self, n: int, k: int, colors: bytes | bytearray):
+        check_order(n, k)  # before a table of any size is copied
         table = bytearray(colors)
         self._take(n, k, table)
         ids = bytes(range(1, k + 1))
@@ -201,12 +201,11 @@ class ColoredCompleteGraph:
 
     @classmethod
     def _owning(cls, n: int, k: int, table: bytearray) -> "ColoredCompleteGraph":
-        """A graph that keeps ``table``, which this module has just built, uncopied
-        and unscanned: each caller has checked that its entries lie in 1..k."""
+        """A graph that keeps ``table``, built inside the package, uncopied and
+        unscanned: its builder has checked n and k and made each entry lie in 1..k."""
         return cls.__new__(cls)._take(n, k, table)
 
     def _take(self, n: int, k: int, table: bytearray) -> "ColoredCompleteGraph":
-        check_order(n, k)
         npairs = n * (n - 1) // 2
         if len(table) != npairs:
             raise ParameterError(f"color table has {len(table)} entries, expected {npairs}")
@@ -379,8 +378,8 @@ def blowup_pentagon(
     check_order(5, k)  # so only the smaller color can lie outside 1..k
     if min(c1, c2) < 1:
         raise ParameterError(f"color id {min(c1, c2)} outside 1..{k}")
-    cycle = bytes(c1 if j - i in (1, 4) else c2 for i in range(5) for j in range(i + 1, 5))
-    return blowup(ColoredCompleteGraph(5, k, cycle), parts)
+    cycle = bytearray(c1 if j - i in (1, 4) else c2 for i in range(5) for j in range(i + 1, 5))
+    return blowup(ColoredCompleteGraph._owning(5, k, cycle), parts)
 
 
 # -- serialization ------------------------------------------------------------
@@ -425,6 +424,11 @@ def write_graph(g: ColoredCompleteGraph, path: str) -> None:
         for m in range(n - 1, 0, -1):  # the lengths of the rows, in order
             fh.write(b" ".join(map(spell.__getitem__, table[a : a + m])) + b"\n")
             a += m
+
+
+def _quoted(raw: bytes) -> str:
+    """A line or a field as a parse error quotes it, cut to ``_QUOTE`` characters."""
+    return repr(raw[:_QUOTE].decode()) + ("..." if len(raw) > _QUOTE else "")
 
 
 def _read_blocks(fh: BinaryIO, n: int, k: int) -> ColoredCompleteGraph | None:
@@ -487,13 +491,13 @@ def read_graph(path: str) -> ColoredCompleteGraph:
             last = chunk[-1:]
         if last != b"\n":
             raise GraphParseError("line 1: missing trailing newline at end of file")
-        text = head[:-1].decode("ascii")
+        text = _quoted(head[:-1])
         if len(header) != 2:
-            raise GraphParseError(f"line 1: expected 'n k', got {text!r}")
+            raise GraphParseError(f"line 1: expected 'n k', got {text}")
         if n is None:
-            raise GraphParseError(f"line 1: expected two integers, got {text!r}")
+            raise GraphParseError(f"line 1: expected two integers, got {text}")
         if not spelled:
-            raise GraphParseError(f"line 1: expected '{n} {k}', got {text!r}")
+            raise GraphParseError(f"line 1: expected '{n} {k}', got {text}")
         if n < 1 or k < 1:
             raise GraphParseError(f"line 1: n and k must be positive, got {n} {k}")
         if k > 255:
@@ -519,10 +523,10 @@ def read_graph(path: str) -> ColoredCompleteGraph:
                 try:
                     c = int(f)
                 except ValueError:
-                    raise GraphParseError(f"line {u + 2}: bad color {f.decode()!r}") from None
+                    raise GraphParseError(f"line {u + 2}: bad color {_quoted(f)}") from None
                 if not 1 <= c <= k:
                     raise GraphParseError(f"line {u + 2}: color id {c} outside 1..{k}")
                 if f != b"%d" % c:
-                    raise GraphParseError(f"line {u + 2}: color {f.decode()!r} is not "
+                    raise GraphParseError(f"line {u + 2}: color {_quoted(f)} is not "
                                           f"spelled as '{c}'")
     return ColoredCompleteGraph._owning(n, k, buf)

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bounds import BoundValue, gr_S62, gr_S82, gr_Str_bounds, ramsey_Str
+from .bounds import BoundValue, gr_S62, gr_S82, gr_Str_bounds, ramsey_Str, tower_blocks
 from .colored_graph import (
     ColoredCompleteGraph,
     ParameterError,
@@ -117,7 +117,7 @@ def matched_clique(order: int, matching_colors: Sequence[int], k: int) -> Colore
         if not 1 <= c <= k:
             raise ParameterError(f"color id {c} outside 1..{k}")
     # row 2i is the color of (2i, 2i + 1) and then 1s, row 2i + 1 all 1s
-    return ColoredCompleteGraph(order, k, b"".join(
+    return ColoredCompleteGraph._owning(order, k, bytearray().join(
         bytes([c]) + b"\x01" * (2 * order - 4 * i - 4) for i, c in enumerate(matching_colors)))
 
 
@@ -130,7 +130,7 @@ def _copied_swaps(level: int, child: _Swaps, unit: int) -> tuple[_Swaps, list[in
     A unit is ``unit`` blocks long and every swap sits on a unit's first
     block, so a unit is untouched when its first block is not swapped.
     """
-    m = 5 ** ((level - 3) // 2) * (2 - level % 2)  # blocks in a part: 1 or 2, times 5 a level pair
+    m = tower_blocks(level - 2)  # blocks in each part, a tower of level - 2
     swaps = {i * m + b: c for i in range(5) for b, c in child.items()}
     return swaps, [u for u in range(0, 5 * m, unit) if u not in swaps]
 

@@ -253,7 +253,7 @@ def exhaustive_witness_search(
         for u in range(n):
             for v in range(u + 1, n):
                 buf.append(2 if (blue[u] >> v) & 1 else 1)
-        return ColoredCompleteGraph(n, 2, buf)
+        return ColoredCompleteGraph._owning(n, 2, buf)
 
     def dfs(v: int, tabs: tuple) -> bool:
         """Extend vertex v; True aborts the whole search (witness or budget)."""
@@ -415,8 +415,7 @@ def random_gallai_sampler(k: int, n_target: int, seed: int) -> ColoredCompleteGr
             c1 = c2 = 1
         cuts = sorted(rng.sample(range(1, size), m - 1))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [size])]
-        pairs = m * (m - 1) // 2
-        template = ColoredCompleteGraph(m, k, bytes(rng.choice((c1, c2)) for _ in range(pairs)))
-        return blowup(template, [build(s) for s in sizes])
+        template = bytearray(rng.choice((c1, c2)) for _ in range(m * (m - 1) // 2))
+        return blowup(ColoredCompleteGraph._owning(m, k, template), [build(s) for s in sizes])
 
     return build(n_target)

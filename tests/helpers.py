@@ -34,6 +34,18 @@ from gallai_ramsey.search import (
 )
 
 
+# K_6 in color 1 but for the edge {0, 5} in color 2, and S_4^1 witnesses in
+# color 1 on it that ``SWitness.validate`` must refuse, each for one fault
+OFF_COLOR_K6 = ColoredCompleteGraph(6, 2, bytes([1, 1, 1, 1, 2]) + b"\x01" * 10)
+FAILING_S41_WITNESSES = {
+    "center-edge-off-color": SWitness(0, ((1, 2),), (5,), 1),
+    "two-edges": SWitness(0, ((1, 2), (3, 4)), (), 1),
+    "two-pendants": SWitness(0, ((1, 2),), (3, 4), 1),
+    "leaf-twice": SWitness(0, ((1, 2),), (2,), 1),
+    "center-a-leaf": SWitness(1, ((1, 2),), (3,), 1),
+}
+
+
 def random_graph(rng: random.Random, n: int, k: int) -> ColoredCompleteGraph:
     """Uniformly random edge coloring of K_n with colors 1..k."""
     npairs = n * (n - 1) // 2

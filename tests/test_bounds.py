@@ -38,6 +38,12 @@ def test_gr_s82_table():
         assert gr_S82(k).value == want
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_gr_s82_refuses_k_below_3(k):
+    with pytest.raises(ParameterError, match="^k must be at least 3$"):
+        gr_S82(k)
+
+
 def test_gr_s82_caveats():
     assert gr_S82(3).caveat is None
     assert gr_S82(4).caveat is None  # both expressions give 71
@@ -152,6 +158,26 @@ def test_integer_forms_match_the_fraction_forms_for_every_k():
             b = gr_S82(k)
             assert b.value == value
             assert b.caveat == (None if alt in (None, value) else f"alternate-expression-gives-{alt}")
+
+
+def _paper_forms(k, t, r):
+    """The paper's lower bound for S_t^r and its upper bounds for r = 2 and for
+    general r, each written out at even and at odd k."""
+    if k % 2 == 0:
+        e = 5 ** ((k - 2) // 2)
+        return 2 * (t - 1) * e + 1, 2 * t * e, (2 * t + 8 * (r - 1)) * e - 4 * (r - 1)
+    e = 5 ** ((k - 1) // 2)
+    return (t - 1) * e + 1, t * e, (t + 4 * (r - 1)) * e - 4 * (r - 1)
+
+
+def test_both_evaluators_match_the_paper_forms_at_even_and_odd_k():
+    for k in range(1, 256):
+        for t in (5, 6, 7, 9, 13, 100, 9999, 10000):
+            lo, hi2, _ = _paper_forms(k, t, 2)
+            assert tuple(b.value for b in gr_St2_bounds(k, t)) == (lo, hi2)
+            for r in range(1, min((t - 1) // 2, 6) + 1):
+                lo, _, hi = _paper_forms(k, t, r)
+                assert tuple(b.value for b in gr_Str_bounds(k, t, r)) == (lo, hi)
 
 
 def test_formulas_integral_up_to_k20():

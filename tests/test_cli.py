@@ -31,7 +31,7 @@ from gallai_ramsey.colored_graph import (
 from gallai_ramsey.constructions import build_G62, build_G82
 from gallai_ramsey.gallai import GallaiPartition
 from gallai_ramsey.patterns import RainbowTriangle
-from helpers import faulty_graph_file, table_copy
+from helpers import FAILING_S41_WITNESSES, OFF_COLOR_K6, faulty_graph_file, table_copy
 
 
 def _first_line(capsys) -> str:
@@ -213,6 +213,16 @@ def test_a_witness_that_fails_re_verification_is_not_printed(
     assert capsys.readouterr() == ("", "witness failed re-verification\n")
 
 
+@pytest.mark.parametrize("name", sorted(FAILING_S41_WITNESSES))
+def test_verify_exits_1_on_each_fault_of_a_pattern_witness(name, tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.txt")
+    write_graph(OFF_COLOR_K6, path)
+    monkeypatch.setattr(gallai_ramsey.search, "find_mono_S",
+                        lambda g, c, p: FAILING_S41_WITNESSES[name] if c == 1 else None)
+    assert run(["verify", "--in", path, "--t", "4", "--r", "1"]) == 1
+    assert capsys.readouterr() == ("", "witness failed re-verification\n")
+
+
 def test_partition_report(tmp_path, capsys):
     path = str(tmp_path / "g.txt")
     write_graph(join(new_monochromatic(2, 2, 1), new_monochromatic(2, 2, 1), 2), path)
@@ -287,6 +297,27 @@ def test_partition_malformed_file_exits_2(tmp_path, capsys, content, fragment):
     assert err.startswith("error: ") and fragment in err
 
 
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"1 " * 1_000_000 + b"\n", "line 1: expected 'n k', got '" + "1 " * 20 + "'..."),
+        (b"3 2\n" + b"x" * 1_000_000 + b" 1\n1\n", "line 2: bad color '" + "x" * 40 + "'..."),
+        (b"3 2\n" + b"0" * 4_000 + b"1 1\n1\n",
+         "line 2: color '" + "0" * 40 + "'... is not spelled as '1'"),
+    ],
+    ids=["line-1", "field", "misspelled-field"],
+)
+def test_a_long_line_or_field_is_quoted_in_a_short_error_line(data, error, tmp_path, capsys):
+    # one error line of at most a few dozen quoted characters, however long
+    # the line or the field it quotes
+    path = tmp_path / "long.txt"
+    path.write_bytes(data)
+    assert run(["verify", "--in", str(path), "--t", "3", "--r", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {error}\n")
+    assert len(err) < 200
+
+
 def test_search_witness_and_exhausted(tmp_path, capsys):
     wpath = str(tmp_path / "w.txt")
     assert run(["search", "--n", "5", "--t", "3", "--r", "1", "--out", wpath]) == 0
@@ -298,6 +329,23 @@ def test_search_witness_and_exhausted(tmp_path, capsys):
 
     assert run(["search", "--n", "6", "--t", "3", "--r", "1"]) == 0
     assert _first_line(capsys).startswith("status=exhausted_none n=6 t=3 r=1 nodes=101 ")
+
+
+def test_search_witness_above_12_vertices_is_re_verified_by_the_certifier(
+    tmp_path, capsys, monkeypatch
+):
+    assert run(["search", "--n", "13", "--t", "9", "--r", "4"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("status=witness_found n=13 t=9 r=4 nodes=4984 ")
+    assert second == "witness re-verified pattern-free in both colors"
+    # a certifier that rejects the witness: nothing on stdout, and no file
+    certify = gallai_ramsey.cli.verify_construction
+    monkeypatch.setattr(gallai_ramsey.cli, "verify_construction",
+                        lambda g, p: dataclasses.replace(certify(g, p), ok=False))
+    out_path = tmp_path / "w.txt"
+    assert run(["search", "--n", "13", "--t", "9", "--r", "4", "--out", str(out_path)]) == 1
+    assert capsys.readouterr() == ("", "witness failed re-verification\n")
+    assert not out_path.exists()
 
 
 def test_search_budget_exit_code(capsys):

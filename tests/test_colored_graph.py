@@ -1,5 +1,6 @@
 """Representation, composition operators, and file round-trip for colored graphs."""
 
+import ast
 import itertools
 import random
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from gallai_ramsey.colored_graph import (
     _FILE_BLOCK,
+    _QUOTE,
     MAX_ORDER,
     ColoredCompleteGraph,
     GraphParseError,
@@ -32,7 +34,8 @@ from gallai_ramsey.constructions import (
     two_clique_witness,
 )
 from gallai_ramsey.gallai import GallaiPartition, find_gallai_partition
-from gallai_ramsey.search import random_gallai_sampler
+from gallai_ramsey.patterns import SPattern
+from gallai_ramsey.search import exhaustive_witness_search, random_gallai_sampler
 from helpers import (
     build_rows_reference,
     faulty_graph_file,
@@ -91,6 +94,9 @@ def test_edge_color_errors():
         g.color(0, 4)
     with pytest.raises(ParameterError):
         g.set_color(0, 1, 5)
+    for c in (0, 3):
+        with pytest.raises(ParameterError, match=f"^color id {c} outside 1..2$"):
+            g.rows(c)
 
 
 @pytest.mark.parametrize("u", [-2, -1, 5])
@@ -316,6 +322,25 @@ def _read_outcome(read, path):
         return type(exc), str(exc)
 
 
+def _quote(text):
+    """``text`` as a parse error quotes a line or a field: cut to ``_QUOTE``
+    characters, with ``...`` after the quote when it was longer."""
+    return repr(text[:_QUOTE]) + ("..." if len(text) > _QUOTE else "")
+
+
+def _quotes_cut(outcome):
+    """The reference's outcome with the line 1 or the field that ends its error
+    message, quoted there in full, quoted as ``read_graph`` quotes it."""
+    if not isinstance(outcome, tuple):
+        return outcome
+    kind, message = outcome
+    cut = re.match(r"line \d+: (expected 'n k', got |expected two integers, got |bad color )",
+                   message)
+    if cut is None:
+        return outcome
+    return kind, message[: cut.end()] + _quote(ast.literal_eval(message[cut.end() :]))
+
+
 def _first_misspelling(data):
     """(offset, length, line, error) of the first number in a file that ``int()``
     reads but that is not spelled as ``write_graph`` spells it: a header that is
@@ -326,7 +351,7 @@ def _first_misspelling(data):
     except ValueError:
         return None
     if head != b"%d %d" % (n, k):
-        return 0, len(head), 1, f"line 1: expected '{n} {k}', got {head.decode()!r}"
+        return 0, len(head), 1, f"line 1: expected '{n} {k}', got {_quote(head.decode())}"
     at = len(head) + 1
     for i, line in enumerate(body.split(b"\n")):
         for f in line.split(b" "):
@@ -335,7 +360,7 @@ def _first_misspelling(data):
             except ValueError:
                 c = 0
             if 1 <= c <= k and f != b"%d" % c:
-                error = f"line {i + 2}: color {f.decode()!r} is not spelled as '{c}'"
+                error = f"line {i + 2}: color {_quote(f.decode())} is not spelled as '{c}'"
                 return at, len(f), i + 2, error
             at += len(f) + 1
     return None
@@ -346,7 +371,9 @@ def _assert_reads_like_reference(data, path):
     the faults the reference lets through: a header "n k" with n above the cap,
     refused at line 1 whatever else the file holds; a CR byte, refused at its
     offset unless a non-ASCII byte comes first; and a number not spelled as
-    ``write_graph`` spells it, refused unless the reference stops first."""
+    ``write_graph`` spells it, refused unless the reference stops first.  A
+    quoted line 1 or field is cut to ``_QUOTE`` characters, which the
+    reference quotes in full."""
     with open(path, "wb") as fh:
         fh.write(data)
     got, want = _read_outcome(read_graph, path), _read_outcome(read_graph_reference, path)
@@ -374,7 +401,7 @@ def _assert_reads_like_reference(data, path):
         if want in [(GraphParseError, f"line 1: expected 'n k', got {tildes!r}"),
                     (GraphParseError, f"line {line}: bad color {tildes!r}")]:
             want = (GraphParseError, error)
-    assert got == want
+    assert got == _quotes_cut(want)
 
 
 @pytest.mark.parametrize(
@@ -396,6 +423,13 @@ def _assert_reads_like_reference(data, path):
         b"3 2\r\n1 2\r1\r\n",
         b"2 9\n9\n",
         b"1 9\n",
+        # a line 1 or a field past the quote's length, and one at it, quoted whole
+        pytest.param(b"1 " * 100 + b"\n", id="long-line-1"),
+        pytest.param(b"x" * 100 + b" 2\n1\n", id="long-header-field"),
+        pytest.param(b"0" * 100 + b"3 2\n1 2\n1\n", id="long-misspelled-header"),
+        pytest.param(b"3 2\n" + b"x" * 100 + b" 1\n1\n", id="long-field"),
+        pytest.param(b"3 2\n" + b"0" * 100 + b"1 1\n1\n", id="long-misspelled-field"),
+        pytest.param(b"3 2\n" + b"x" * _QUOTE + b" 1\n1\n", id="field-at-quote-length"),
     ],
 )
 def test_reader_matches_reference_on_edge_rows(data, tmp_path):
@@ -595,6 +629,27 @@ def test_constructor_names_an_out_of_range_color(offset, bad):
     if offset == 5:
         table[100] = 0  # a later bad color in the same slice, smaller than 7, is not named
     with pytest.raises(ParameterError, match=f"^color id {bad} outside 1..{k}$"):
+        ColoredCompleteGraph(n, k, table)
+
+
+class _Uncopied:
+    """A table that fails the test if the constructor copies it."""
+
+    def __iter__(self):
+        raise AssertionError("the table was copied before its order was checked")
+
+
+@pytest.mark.parametrize(
+    "n, k, table, error",
+    [
+        (3, 2, b"\x01\x01", "color table has 2 entries, expected 3"),
+        (MAX_ORDER + 1, 2, _Uncopied(),
+         f"vertex count must be in 1..{MAX_ORDER}, got {MAX_ORDER + 1}"),
+        (3, 256, _Uncopied(), "color count must be in 1..255, got 256"),
+    ],
+)
+def test_constructor_refuses_a_table_of_the_wrong_size_or_order(n, k, table, error):
+    with pytest.raises(ParameterError, match=f"^{re.escape(error)}$"):
         ColoredCompleteGraph(n, k, table)
 
 
@@ -909,8 +964,8 @@ def test_recolored_tower_is_one_leaf_block_of_its_table_colors(build, k):
 
 
 @pytest.mark.property_based
-@given(kind=st.sampled_from(("sample", "tower", "file", "reduced")), seed=st.integers(0, 10**6),
-       k=st.integers(1, 12))
+@given(kind=st.sampled_from(("sample", "tower", "file", "reduced", "witness")),
+       seed=st.integers(0, 10**6), k=st.integers(1, 12))
 @settings(max_examples=80, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_tables_kept_unscanned_hold_only_colors_in_range(kind, seed, k, tmp_path):
@@ -934,6 +989,8 @@ def test_tables_kept_unscanned_hold_only_colors_in_range(kind, seed, k, tmp_path
         partition = find_gallai_partition(g)
         assert isinstance(partition, GallaiPartition)
         g = partition.reduced
+    elif kind == "witness":  # a 2-coloring of K_n, n <= 5, with no monochromatic triangle
+        g = exhaustive_witness_search(rng.randint(2, 5), SPattern(3, 1)).witness
     assert g._colors.translate(None, bytes(range(1, g.k + 1))) == b""
 
 

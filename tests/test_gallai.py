@@ -178,6 +178,9 @@ def test_verify_rejects_non_partition():
     missing = GallaiPartition(parts=((0, 1), (2,)), reduced=new_monochromatic(2, 2, 1))
     with pytest.raises(ParameterError):
         verify_gallai_partition(g, missing)
+    empty = GallaiPartition(parts=((0, 1), (), (2, 3)), reduced=new_monochromatic(3, 2, 1))
+    with pytest.raises(ParameterError, match="^empty part$"):
+        verify_gallai_partition(g, empty)
     # a reduced graph that is not on the parts, or not in g's colors
     for reduced in (new_monochromatic(3, 2, 1), new_monochromatic(2, 3, 1)):
         p = GallaiPartition(parts=((0, 1), (2, 3)), reduced=reduced)

@@ -29,12 +29,15 @@ from gallai_ramsey.constructions import (
 from gallai_ramsey.gallai import find_rainbow_triangle
 from gallai_ramsey.patterns import (
     SPattern,
+    SWitness,
     brute_force_contains_S,
     disjoint_edges,
     find_mono_S,
     scan_rainbow_triangle,
 )
 from helpers import (
+    FAILING_S41_WITNESSES,
+    OFF_COLOR_K6,
     blossom_nu,
     brute_max_matching,
     check_disjoint_edges,
@@ -191,6 +194,13 @@ def test_monochromatic_host_contains_pattern():
         w = find_mono_S(g, 1, p)
         assert w is not None and w.validate(g, p)
         assert brute_force_contains_S(g, 1, p)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_S41_WITNESSES))
+def test_witness_validate_refuses_each_fault(name):
+    p = SPattern(4, 1)
+    assert SWitness(0, ((1, 2),), (3,), 1).validate(OFF_COLOR_K6, p)
+    assert not FAILING_S41_WITNESSES[name].validate(OFF_COLOR_K6, p)
 
 
 def test_empty_color_class():
