@@ -80,7 +80,7 @@ _SCAN = 1 << 13  # table bytes range-checked per translate, so no table is held 
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _FILE_BLOCK = 1 << 15  # file bytes read or written at a time
 _PLAIN = bytes(range(128)).replace(b"\r", b"")  # the bytes a graph file may hold
-_QUOTE = 40  # characters of a line or a field that a parse error quotes
+_QUOTE = 40  # characters of a line, a field or a number that a parse error quotes
 
 MAX_ORDER = 10_000
 """Most vertices a graph may have.
@@ -431,6 +431,11 @@ def _quoted(raw: bytes) -> str:
     return repr(raw[:_QUOTE].decode()) + ("..." if len(raw) > _QUOTE else "")
 
 
+def _cut(x: int) -> str:
+    """A number read from a file as a parse error repeats it, cut as ``_quoted`` cuts."""
+    return (text := str(x))[:_QUOTE] + ("..." if len(text) > _QUOTE else "")
+
+
 def _read_blocks(fh: BinaryIO, n: int, k: int) -> ColoredCompleteGraph | None:
     """The graph of an order-n body read in row-aligned blocks, or None unless it
     holds digits in ``1..k`` on its even bytes and ``write_graph``'s separators
@@ -464,15 +469,15 @@ def read_graph(path: str) -> ColoredCompleteGraph:
     """
     with open(path, "rb") as fh:
         head = fh.readline()
-        header = head.split(b" ", 2)
+        nfields = head.count(b" ") + 1  # so a line 1 of many fields is never split
         try:
-            n, k = map(int, header)
-        except ValueError:  # not two fields, or one that is not an integer
+            n, k = map(int, head.split(b" ")) if nfields == 2 else (None, None)
+        except ValueError:  # a field that is not an integer
             n = k = None
         spelled = n is not None and head == b"%d %d\n" % (n, k)
         if spelled and n > MAX_ORDER:
             raise GraphParseError(f"line 1: vertex count above {MAX_ORDER} is not supported, "
-                                  f"got {n}")
+                                  f"got {_cut(n)}")
         if (spelled and n >= 1 and 1 <= k <= 9
                 and os.fstat(fh.fileno()).st_size == len(head) + n * (n - 1)):
             g = _read_blocks(fh, n, k)
@@ -491,17 +496,17 @@ def read_graph(path: str) -> ColoredCompleteGraph:
             last = chunk[-1:]
         if last != b"\n":
             raise GraphParseError("line 1: missing trailing newline at end of file")
-        text = _quoted(head[:-1])
-        if len(header) != 2:
+        text = _quoted(head[: _QUOTE + 1].rstrip(b"\n"))
+        if nfields != 2:
             raise GraphParseError(f"line 1: expected 'n k', got {text}")
         if n is None:
             raise GraphParseError(f"line 1: expected two integers, got {text}")
         if not spelled:
-            raise GraphParseError(f"line 1: expected '{n} {k}', got {text}")
+            raise GraphParseError(f"line 1: expected '{_cut(n)} {_cut(k)}', got {text}")
         if n < 1 or k < 1:
-            raise GraphParseError(f"line 1: n and k must be positive, got {n} {k}")
+            raise GraphParseError(f"line 1: n and k must be positive, got {_cut(n)} {_cut(k)}")
         if k > 255:
-            raise GraphParseError(f"line 1: color count above 255 is not supported, got {k}")
+            raise GraphParseError(f"line 1: color count above 255 is not supported, got {_cut(k)}")
         if nlines != n:
             raise GraphParseError(f"line {nlines + 1}: expected {n} lines total, got {nlines}")
         fh.seek(len(head))
@@ -525,7 +530,7 @@ def read_graph(path: str) -> ColoredCompleteGraph:
                 except ValueError:
                     raise GraphParseError(f"line {u + 2}: bad color {_quoted(f)}") from None
                 if not 1 <= c <= k:
-                    raise GraphParseError(f"line {u + 2}: color id {c} outside 1..{k}")
+                    raise GraphParseError(f"line {u + 2}: color id {_cut(c)} outside 1..{k}")
                 if f != b"%d" % c:
                     raise GraphParseError(f"line {u + 2}: color {_quoted(f)} is not "
                                           f"spelled as '{c}'")

@@ -9,9 +9,9 @@ Four families are provided:
   for matched cliques at every level from 4 on.
 * ``g82``: the S_8^2 tower with K_7 blocks and its own swap rules.
 
-The g62 and g82 towers are blow-ups only: a plan maps a swapped block's
-index in vertex order to its matching colors, and the tower is blown up
-from its blocks, plain or matched.
+All four are built by one recursion over block indices, ``_swap_tower``.  A
+g62 or g82 plan maps a swapped block's index to its matching colors; the
+general tower swaps none, and at even k joins its odd tower to itself.
 
 Every builder certifies its output with ``search.verify_construction``, as
 graph files and search witnesses are (no rainbow triangle, no monochromatic
@@ -24,7 +24,6 @@ order is that bound minus one.  A failed certificate raises
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,7 +100,7 @@ def two_clique_witness(t: int, verify: bool = True) -> ConstructionReport:
     if t < 3:
         raise ParameterError(f"need t >= 3, got {t}")
     order = _order_below(gr_Str_bounds(2, t, 1)[0], 2)  # before anything sized by t
-    return _finish("two-clique", _general_core(2, t, 2), order, t, _admissible_r(t), verify)
+    return _finish("two-clique", _swap_tower(2, 2, t - 1, {}), order, t, _admissible_r(t), verify)
 
 
 def matched_clique(order: int, matching_colors: Sequence[int], k: int) -> ColoredCompleteGraph:
@@ -171,31 +170,25 @@ def _swap_tower(level: int, k: int, base: int, swaps: _Swaps) -> ColoredComplete
     """Pentagon blow-ups over a color-2 join of two blocks, the blocks in vertex order.
 
     Block i is a color-1 K_base, or the matched K_(base+1) with colors
-    ``swaps[i]`` when i is swapped.
+    ``swaps[i]`` when i is swapped.  A subtower with no swapped block is
+    built once per level and reused.
     """
-    plain = new_monochromatic(base, k, 1)
-    blocks = (
-        matched_clique(base + 1, swaps[i], k) if i in swaps else plain
-        for i in itertools.count()
-    )
+    built: dict[int, ColoredCompleteGraph] = {}  # the swap-free subtower of each level
 
-    def grow(lv: int) -> ColoredCompleteGraph:
+    def grow(lv: int, first: int) -> ColoredCompleteGraph:
+        free = not any(first <= i < first + tower_blocks(lv) for i in swaps)
+        if free and lv in built:
+            return built[lv]
         if lv == 1:
-            return next(blocks)
-        if lv == 2:
-            return join(next(blocks), next(blocks), 2)
-        return blowup_pentagon([grow(lv - 2) for _ in range(5)], lv - 1, lv)
+            g = new_monochromatic(base, k, 1) if free else matched_clique(base + 1, swaps[first], k)
+        elif lv == 2:
+            g = join(grow(1, first), grow(1, first + 1), 2)
+        else:
+            m = tower_blocks(lv - 2)
+            g = blowup_pentagon([grow(lv - 2, first + i * m) for i in range(5)], lv - 1, lv)
+        return built.setdefault(lv, g) if free else g
 
-    return grow(level)
-
-
-def _general_core(level: int, t: int, k: int) -> ColoredCompleteGraph:
-    if level == 1:
-        return new_monochromatic(t - 1, k, 1)
-    if level % 2 == 0:
-        half = _general_core(level - 1, t, k)
-        return join(half, half, level)
-    return blowup_pentagon([_general_core(level - 2, t, k)] * 5, level - 1, level)
+    return grow(level, 0)
 
 
 def build_general_lower(
@@ -222,7 +215,8 @@ def build_general_lower(
     for rr in rs:
         if not 1 <= rr <= (t - 1) // 2:
             raise ParameterError(f"pattern needs 1 <= r <= (t-1)/2, got r={rr} with t={t}")
-    return _finish("general", _general_core(k, t, k), order, t, rs, verify)
+    odd = _swap_tower(k - 1 + k % 2, k, t - 1, {})
+    return _finish("general", odd if k % 2 else join(odd, odd, k), order, t, rs, verify)
 
 
 def build_G62(k: int, verify: bool = True) -> ConstructionReport:

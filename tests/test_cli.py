@@ -304,12 +304,24 @@ def test_partition_malformed_file_exits_2(tmp_path, capsys, content, fragment):
         (b"3 2\n" + b"x" * 1_000_000 + b" 1\n1\n", "line 2: bad color '" + "x" * 40 + "'..."),
         (b"3 2\n" + b"0" * 4_000 + b"1 1\n1\n",
          "line 2: color '" + "0" * 40 + "'... is not spelled as '1'"),
+        # a 4,000-digit number a message repeats, cut as a quote is
+        (b"1" * 4_000 + b" 2\n1\n",
+         f"line 1: vertex count above {MAX_ORDER} is not supported, got " + "1" * 40 + "..."),
+        (b"+" + b"1" * 4_000 + b" 2\n1\n",
+         "line 1: expected '" + "1" * 40 + "... 2', got '+" + "1" * 39 + "'..."),
+        (b"-" + b"1" * 4_000 + b" 2\n", "line 1: n and k must be positive, got -" + "1" * 39
+         + "... 2"),
+        (b"2 " + b"1" * 4_000 + b"\n1\n",
+         "line 1: color count above 255 is not supported, got " + "1" * 40 + "..."),
+        (b"3 2\n" + b"1" * 4_000 + b" 1\n1\n", "line 2: color id " + "1" * 40
+         + "... outside 1..2"),
     ],
-    ids=["line-1", "field", "misspelled-field"],
+    ids=["line-1", "field", "misspelled-field", "vertex-count", "misspelled-header",
+         "nonpositive-order", "color-count", "color-id"],
 )
 def test_a_long_line_or_field_is_quoted_in_a_short_error_line(data, error, tmp_path, capsys):
     # one error line of at most a few dozen quoted characters, however long
-    # the line or the field it quotes
+    # the line, the field or the number it quotes
     path = tmp_path / "long.txt"
     path.write_bytes(data)
     assert run(["verify", "--in", str(path), "--t", "3", "--r", "1"]) == 2
@@ -356,6 +368,25 @@ def test_search_budget_exit_code(capsys):
     assert run(["search", "--n", "13", "--t", "7", "--r", "3",
                 "--budget-nodes", "150000"]) == 3
     assert _first_line(capsys).startswith("status=budget_exceeded n=13 t=7 r=3 nodes=150000 ")
+
+
+def _rainbow_sample(monkeypatch):
+    # the sampler's contract broken: it draws a rainbow triangle
+    monkeypatch.setattr(gallai_ramsey.cli, "random_gallai_sampler",
+                        lambda k, n, seed: ColoredCompleteGraph(3, 3, bytes([1, 2, 3])))
+
+
+def test_sample_exits_1_on_a_rainbow_triangle(monkeypatch, capsys):
+    _rainbow_sample(monkeypatch)
+    assert run(["sample", "--k", "3", "--n", "3"]) == 1
+    assert capsys.readouterr() == ("rainbow=0,1,2 colors=1,2,3\n", "")
+
+
+def test_sample_prints_no_rainbow_triangle_that_fails_re_verification(monkeypatch, capsys):
+    _rainbow_sample(monkeypatch)
+    monkeypatch.setattr(RainbowTriangle, "validate", lambda self, g: False)
+    assert run(["sample", "--k", "3", "--n", "3"]) == 1
+    assert capsys.readouterr() == ("", "witness failed re-verification\n")
 
 
 def test_sample_deterministic(tmp_path, capsys):
@@ -405,6 +436,23 @@ def test_file_order_past_the_cap_exits_2_from_the_header(tmp_path, capsys):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert capsys.readouterr().err.startswith(f"error: line 1: vertex count above {MAX_ORDER}")
+
+
+@pytest.mark.parametrize("line", [b"1 2 " * 1_000_000, b"1 " + b"0" * 3_999_997 + b"2"],
+                         ids=["many-fields", "long-field"])
+def test_over_long_line_1_exits_2_holding_little_more_than_the_line(line, tmp_path, capsys):
+    # a 4 MB line 1: counted, not split, unless it has exactly two fields,
+    # and quoted from a slice of it; what is left is the read of the line
+    path = tmp_path / "long.txt"
+    path.write_bytes(line + b"\n1\n")
+    tracemalloc.start()
+    try:
+        assert run(["verify", "--in", str(path), "--t", "3", "--r", "1"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(line)
+    assert capsys.readouterr().err.startswith("error: line 1: expected ")
 
 
 def test_over_long_row_exits_2_holding_little_more_than_the_row(tmp_path, capsys):

@@ -328,17 +328,25 @@ def _quote(text):
     return repr(text[:_QUOTE]) + ("..." if len(text) > _QUOTE else "")
 
 
+def _cut(number):
+    """A number as a parse error repeats it, cut as ``_quote`` cuts, unquoted."""
+    text = number.group()
+    return text[:_QUOTE] + ("..." if len(text) > _QUOTE else "")
+
+
 def _quotes_cut(outcome):
     """The reference's outcome with the line 1 or the field that ends its error
-    message, quoted there in full, quoted as ``read_graph`` quotes it."""
+    message, quoted there in full, quoted as ``read_graph`` quotes it, and each
+    number in it, repeated there in full, cut to ``_QUOTE`` characters as well."""
     if not isinstance(outcome, tuple):
         return outcome
     kind, message = outcome
     cut = re.match(r"line \d+: (expected 'n k', got |expected two integers, got |bad color )",
                    message)
-    if cut is None:
-        return outcome
-    return kind, message[: cut.end()] + _quote(ast.literal_eval(message[cut.end() :]))
+    if cut is not None:
+        message = message[: cut.end()] + _quote(ast.literal_eval(message[cut.end() :]))
+    # no quote left holds a run past _QUOTE characters, so only numbers are cut
+    return kind, re.sub(r"-?[0-9]+", _cut, message)
 
 
 def _first_misspelling(data):
@@ -430,6 +438,12 @@ def _assert_reads_like_reference(data, path):
         pytest.param(b"3 2\n" + b"x" * 100 + b" 1\n1\n", id="long-field"),
         pytest.param(b"3 2\n" + b"0" * 100 + b"1 1\n1\n", id="long-misspelled-field"),
         pytest.param(b"3 2\n" + b"x" * _QUOTE + b" 1\n1\n", id="field-at-quote-length"),
+        # a 4,000-digit number each message that repeats one gets, cut
+        pytest.param(b"1" * 4_000 + b" 2\n1\n", id="long-vertex-count"),
+        pytest.param(b"+" + b"1" * 4_000 + b" 2\n1\n", id="long-misspelled-order"),
+        pytest.param(b"-" + b"1" * 4_000 + b" 2\n", id="long-nonpositive-order"),
+        pytest.param(b"2 " + b"1" * 4_000 + b"\n1\n", id="long-color-count"),
+        pytest.param(b"3 2\n" + b"1" * 4_000 + b" 1\n1\n", id="long-color-id"),
     ],
 )
 def test_reader_matches_reference_on_edge_rows(data, tmp_path):

@@ -5,9 +5,10 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gallai_ramsey.constructions
 import gallai_ramsey.search
 from gallai_ramsey.bounds import gr_S62, gr_S82, gr_Str_bounds, ramsey_Str
-from gallai_ramsey.colored_graph import ParameterError, write_graph
+from gallai_ramsey.colored_graph import ParameterError, new_monochromatic, write_graph
 from gallai_ramsey.constructions import (
     ConstructionError,
     build_G62,
@@ -95,6 +96,28 @@ def test_construct_exits_1_on_a_failed_certificate(monkeypatch, capsys, name, fa
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"verification failure: {message}\n"
+
+
+def _one_vertex_short(monkeypatch):
+    tower = gallai_ramsey.constructions._swap_tower
+
+    def short(level, k, base, swaps):
+        return new_monochromatic(tower(level, k, base, swaps).n - 1, k, 1)
+
+    monkeypatch.setattr(gallai_ramsey.constructions, "_swap_tower", short)
+
+
+def test_a_tower_of_the_wrong_order_raises_construction_error(monkeypatch):
+    _one_vertex_short(monkeypatch)
+    with pytest.raises(ConstructionError, match="^g62: assembled 24 vertices, expected 25$"):
+        build_G62(3)
+
+
+def test_construct_exits_1_on_a_tower_of_the_wrong_order(monkeypatch, capsys):
+    _one_vertex_short(monkeypatch)
+    assert run(["construct", "--family", "g82", "--k", "3"]) == 1
+    assert capsys.readouterr() == ("", "verification failure: g82: assembled 34 vertices, "
+                                       "expected 35\n")
 
 
 def _g62_order(k):
@@ -322,3 +345,45 @@ def test_pinned_graph_bytes(key, tmp_path):
     write_graph(_build(key), path)
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == PINNED_SHA256[key]
+
+
+# sha256 of the in-memory color table, captured before every tower was built
+# through one recursion: the largest towers and even-k general towers, whose
+# files the test above does not write
+PINNED_TABLE_SHA256 = {
+    ("g62", 10): "58ba0d2b12f036b6cb043ff4834a8ea72e16b9f41aa74f146c72a3efa97998b9",
+    ("g82", 10): "09ec2276ccd175f00e6a110cd39aac2ed51e62da7d5a2eedd3a43e27e6b3aa07",
+    ("general", 6, 9): "21a12c4ee88ffc3d65740837f1e99ca530effc41d40714a0ebd625faf05a3750",
+    ("general", 8, 9): "832db5444d758d31ce7688a5d7126a6864976c7a4d5f30b87271675b59da4596",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TABLE_SHA256),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_pinned_table_bytes(key):
+    assert hashlib.sha256(_build(key)._colors).hexdigest() == PINNED_TABLE_SHA256[key]
+
+
+def _count_blowups(monkeypatch):
+    calls = {"blowup_pentagon": 0, "join": 0}
+    for name in calls:
+        def counted(*args, name=name, build=getattr(gallai_ramsey.constructions, name)):
+            calls[name] += 1
+            return build(*args)
+        monkeypatch.setattr(gallai_ramsey.constructions, name, counted)
+    return calls
+
+
+def test_a_swap_free_subtower_is_built_once_per_level(monkeypatch):
+    # G82(8) has 25 level-4 subtowers of 10 K_7 blocks; those with no swapped
+    # block are one graph, so only the swapped ones are built apart
+    calls = _count_blowups(monkeypatch)
+    assert build_G82(8, verify=False).graph.n == 1762
+    assert calls["blowup_pentagon"] <= 19 and calls["join"] <= 13
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_general_tower_builds_each_level_once(k, monkeypatch):
+    calls = _count_blowups(monkeypatch)
+    build_general_lower(k, 5, (1,), verify=False)
+    assert calls == {"blowup_pentagon": (k - 1) // 2, "join": 1 - k % 2}

@@ -28,6 +28,7 @@ from gallai_ramsey.constructions import (
 )
 from gallai_ramsey.gallai import find_rainbow_triangle
 from gallai_ramsey.patterns import (
+    RainbowTriangle,
     SPattern,
     SWitness,
     brute_force_contains_S,
@@ -84,6 +85,13 @@ def test_rainbow_k3():
         assert tri is not None and tri.vertices == (0, 1, 2)
         assert sorted(tri.colors) == [1, 2, 3]
         assert tri.validate(g)
+
+
+@pytest.mark.parametrize("vertices", [(0, 0, 1), (0, 1, 0), (2, 1, 1)])
+def test_rainbow_validate_refuses_a_repeated_vertex(vertices):
+    # refused before an edge is read: a vertex repeated would be a self-loop
+    g = ColoredCompleteGraph(3, 3, bytes([1, 2, 3]))
+    assert RainbowTriangle(vertices, (1, 2, 3)).validate(g) is False
 
 
 @pytest.mark.property_based
