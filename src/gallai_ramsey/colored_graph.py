@@ -89,7 +89,7 @@ Order n costs n^2/2 bytes of colors plus n^2/8 bytes of rows per color: 50 MB
 plus 12.5 MB per color at 10,000, what a small machine can give one process.
 Past it a tower or a sample runs out of memory, or for hours, instead of
 failing.  The largest orders CI builds are 8,812 (``build_G82(10)``) and
-6,406 (``build_G62(10)``).  G82(10) is built and certified in about 0.13 s,
+6,406 (``build_G62(10)``).  G82(10) is built and certified in about 0.12 s,
 at a peak RSS of 114 MB, on a 2-core x86-64 host (CPython 3.11).
 """
 

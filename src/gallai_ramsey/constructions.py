@@ -9,7 +9,7 @@ Four families are provided:
   for matched cliques at every level from 4 on.
 * ``g82``: the S_8^2 tower with K_7 blocks and its own swap rules.
 
-All four are built by one recursion over block indices, ``_swap_tower``.  A
+One recursion, ``_swap_tower``, builds all four, each distinct subtower once.  A
 g62 or g82 plan maps a swapped block's index to its matching colors; the
 general tower swaps none, and at even k joins its odd tower to itself.
 
@@ -170,25 +170,24 @@ def _swap_tower(level: int, k: int, base: int, swaps: _Swaps) -> ColoredComplete
     """Pentagon blow-ups over a color-2 join of two blocks, the blocks in vertex order.
 
     Block i is a color-1 K_base, or the matched K_(base+1) with colors
-    ``swaps[i]`` when i is swapped.  A subtower with no swapped block is
-    built once per level and reused.
+    ``swaps[i]`` when i is swapped.  Each distinct subtower is built once: the
+    memo maps (level, *its swaps from its first block) to it, and is passed
+    down, not closed over, so that grow's cycle through itself does not hold it.
     """
-    built: dict[int, ColoredCompleteGraph] = {}  # the swap-free subtower of each level
 
-    def grow(lv: int, first: int) -> ColoredCompleteGraph:
-        free = not any(first <= i < first + tower_blocks(lv) for i in swaps)
-        if free and lv in built:
-            return built[lv]
-        if lv == 1:
-            g = new_monochromatic(base, k, 1) if free else matched_clique(base + 1, swaps[first], k)
-        elif lv == 2:
-            g = join(grow(1, first), grow(1, first + 1), 2)
-        else:
-            m = tower_blocks(lv - 2)
-            g = blowup_pentagon([grow(lv - 2, first + i * m) for i in range(5)], lv - 1, lv)
-        return built.setdefault(lv, g) if free else g
+    def grow(lv: int, first: int, built: dict) -> ColoredCompleteGraph:
+        end = first + tower_blocks(lv)
+        key = (lv, *sorted((i - first, c) for i, c in swaps.items() if first <= i < end))
+        if key not in built:
+            if lv == 1:
+                built[key] = matched_clique(base + 1, swaps[first], k)
+            else:
+                sub = max(lv - 2, 1)  # a join's parts are blocks, a pentagon's are level lv - 2
+                parts = [grow(sub, f, built) for f in range(first, end, tower_blocks(sub))]
+                built[key] = join(*parts, 2) if lv == 2 else blowup_pentagon(parts, lv - 1, lv)
+        return built[key]
 
-    return grow(level, 0)
+    return grow(level, 0, {(1,): new_monochromatic(base, k, 1)})
 
 
 def build_general_lower(

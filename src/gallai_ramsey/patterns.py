@@ -82,6 +82,8 @@ class SWitness:
         leaves = [v for e in self.triangle_edges for v in e] + list(self.pendants)
         if len(set(leaves)) != p.t - 1 or self.center in leaves:
             return False
+        if not all(0 <= v < g.n for v in (self.center, *leaves)):
+            return False
         if any(g.color(self.center, x) != self.color for x in leaves):
             return False
         return all(g.color(a, b) == self.color for a, b in self.triangle_edges)
@@ -96,7 +98,7 @@ class RainbowTriangle:
 
     def validate(self, g: ColoredCompleteGraph) -> bool:
         a, b, c = self.vertices
-        if len({a, b, c}) != 3:
+        if len({a, b, c}) != 3 or not all(0 <= v < g.n for v in self.vertices):
             return False
         found = (g.color(a, b), g.color(a, c), g.color(b, c))
         return found == self.colors and len(set(found)) == 3

@@ -43,6 +43,8 @@ FAILING_S41_WITNESSES = {
     "two-pendants": SWitness(0, ((1, 2),), (3, 4), 1),
     "leaf-twice": SWitness(0, ((1, 2),), (2,), 1),
     "center-a-leaf": SWitness(1, ((1, 2),), (3,), 1),
+    "leaf-out-of-range": SWitness(0, ((1, 6),), (3,), 1),
+    "negative-center": SWitness(-1, ((1, 2),), (3,), 1),
 }
 
 

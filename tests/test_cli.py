@@ -186,6 +186,10 @@ def _not_rainbow(find):
     return lambda g: RainbowTriangle((0, 1, 2), (1, 2, 3))
 
 
+def _out_of_range(find):
+    return lambda g: RainbowTriangle((0, 1, 6), (1, 2, 3))
+
+
 @pytest.mark.parametrize(
     "argv, module, name, fake",
     [
@@ -195,6 +199,8 @@ def _not_rainbow(find):
                      "find_rainbow_triangle", _not_rainbow, id="verify-triangle"),
         pytest.param(["partition"], gallai_ramsey.cli, "find_gallai_partition", _not_rainbow,
                      id="partition"),
+        pytest.param(["partition"], gallai_ramsey.cli, "find_gallai_partition", _out_of_range,
+                     id="partition-out-of-range"),
         pytest.param(["reduce"], gallai_ramsey.cli, "find_gallai_partition", _not_rainbow,
                      id="reduce"),
         pytest.param(["sample", "--k", "2", "--n", "6"], gallai_ramsey.cli,
@@ -204,7 +210,8 @@ def _not_rainbow(find):
 def test_a_witness_that_fails_re_verification_is_not_printed(
     argv, module, name, fake, tmp_path, capsys, monkeypatch
 ):
-    # a detector that names a wrong center, or a triangle that is not rainbow
+    # a detector that names a wrong center, a triangle that is not rainbow, or
+    # one with a vertex past the graph's last
     path = str(tmp_path / "mono.txt")
     write_graph(new_monochromatic(6, 2, 1), path)
     monkeypatch.setattr(module, name, fake(getattr(module, name)))

@@ -1,6 +1,8 @@
 """Tests for the lower-bound construction generators."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,12 +376,59 @@ def _count_blowups(monkeypatch):
     return calls
 
 
-def test_a_swap_free_subtower_is_built_once_per_level(monkeypatch):
-    # G82(8) has 25 level-4 subtowers of 10 K_7 blocks; those with no swapped
-    # block are one graph, so only the swapped ones are built apart
+# (pentagon blow-ups, joins) per tower: one of each per distinct subtower, a
+# level and the swaps inside it (G82(8) has 25 level-4 subtowers but 5 distinct)
+SUBTOWER_CALLS = {
+    build_G62: {7: (9, 0), 8: (6, 4), 9: (16, 0), 10: (10, 5)},
+    build_G82: {7: (6, 0), 8: (8, 5), 9: (10, 0), 10: (14, 7)},
+}
+
+
+def test_each_distinct_subtower_is_built_once(monkeypatch):
     calls = _count_blowups(monkeypatch)
-    assert build_G82(8, verify=False).graph.n == 1762
-    assert calls["blowup_pentagon"] <= 19 and calls["join"] <= 13
+    for build, wants in SUBTOWER_CALLS.items():
+        for k, want in wants.items():
+            calls.update(blowup_pentagon=0, join=0)
+            build(k, verify=False)
+            assert (calls["blowup_pentagon"], calls["join"]) == want, (build.__name__, k)
+
+
+def test_a_subtower_is_known_by_its_swaps_in_any_order(monkeypatch):
+    # parts 0 and 1 of a level-5 tower carry the same two swaps, which the
+    # plan lists in opposite orders: they are one subtower, built once
+    calls = _count_blowups(monkeypatch)
+    swaps = {0: (2, 3, 4), 1: (2, 3, 5), 6: (2, 3, 5), 5: (2, 3, 4)}
+    parts = gallai_ramsey.constructions._swap_tower(5, 5, 5, swaps)._shape[2]
+    assert calls == {"blowup_pentagon": 3, "join": 0}
+    assert parts[0] is parts[1] and parts[1] is not parts[2]
+
+
+def test_a_dropped_tower_is_freed_without_the_cycle_collector():
+    # the recursion refers to itself, a cycle: were the memo of subtowers
+    # held by it, the tower and its subtowers would live on until a collection
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        build_G62(7, verify=False)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert kept < 50_000  # G62(7)'s table alone is 202,566 bytes
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+@pytest.mark.parametrize("build", [build_G62, build_G82], ids=["g62", "g82"])
+def test_equal_subtower_records_are_one_object(build, k):
+    # the shape records of blow-ups and joins (leaf records are made per call)
+    inner, todo = [], [build(k, verify=False).graph._shape]
+    while todo:
+        rec = todo.pop()
+        if len(rec) == 3:
+            inner.append(rec)
+            todo.extend(rec[2])
+    assert len({id(rec) for rec in inner}) == len(set(inner))
 
 
 @pytest.mark.parametrize("k", range(1, 10))

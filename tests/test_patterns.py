@@ -87,9 +87,10 @@ def test_rainbow_k3():
         assert tri.validate(g)
 
 
-@pytest.mark.parametrize("vertices", [(0, 0, 1), (0, 1, 0), (2, 1, 1)])
+@pytest.mark.parametrize("vertices", [(0, 0, 1), (0, 1, 0), (2, 1, 1), (0, 1, 3), (-1, 0, 1)])
 def test_rainbow_validate_refuses_a_repeated_vertex(vertices):
-    # refused before an edge is read: a vertex repeated would be a self-loop
+    # refused before an edge is read: a vertex repeated would be a self-loop,
+    # and one outside 0..n-1 has no edge to read
     g = ColoredCompleteGraph(3, 3, bytes([1, 2, 3]))
     assert RainbowTriangle(vertices, (1, 2, 3)).validate(g) is False
 
